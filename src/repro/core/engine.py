@@ -599,12 +599,17 @@ class Simulator:
             self._done = True
             self.elapsed = now
             return
+        fetches = self.fetch_count
         self.policy.before_reference(self.cursor, now)
-        if self._debt > 0.0:
+        if self.fetch_count != fetches:
+            # Start the disks on every issued prefetch, not only when it
+            # left driver debt: at zero overhead there is none, and the
+            # queued fetches would otherwise never start.
             self._start_disks(now)
-            debt, self._debt = self._debt, 0.0
-            self._push(now + debt, _EVENT_APP)
-            return
+            if self._debt > 0.0:
+                debt, self._debt = self._debt, 0.0
+                self._push(now + debt, _EVENT_APP)
+                return
         block = self.app_blocks[self.cursor]
         if block in self.cache:
             if self.is_write(self.cursor):

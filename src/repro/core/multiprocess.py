@@ -395,12 +395,15 @@ class MultiProcessSimulator:
             process.done = True
             process.elapsed = now
             return
+        fetches = process.fetch_count
         process.policy.before_reference(process.cursor, now)
-        if process.debt > 0.0:
+        if process.fetch_count != fetches:
+            # As in Simulator._app_step: zero overhead leaves no debt.
             self._start_disks(now)
-            debt, process.debt = process.debt, 0.0
-            self._push(now + debt, _EVENT_APP, process.pid)
-            return
+            if process.debt > 0.0:
+                debt, process.debt = process.debt, 0.0
+                self._push(now + debt, _EVENT_APP, process.pid)
+                return
         block = process.app_blocks[process.cursor]
         if block in process.cache:
             compute = process.compute_ms[process.cursor]

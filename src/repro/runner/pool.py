@@ -31,6 +31,13 @@ cells at any time through the thread-safe :meth:`SupervisedPool.submit`
 Records are emitted to a callback the moment each cell reaches a terminal
 state, so the journal is fsynced continuously, not at the end.
 
+The supervision loop is event-driven: it blocks on the busy workers'
+pipes plus a wake channel that ``submit``, ``cancel`` and
+``request_stop`` write to, with a timeout only when a real timer is
+pending (a per-cell timeout, a retry's backoff, the run deadline).  An
+idle pool makes no periodic wake-ups, and a submitted cell is dispatched
+at once.
+
 The pool reads the host clock through an injectable ``clock`` callable
 (default ``time.monotonic``) so retry backoff and timeout scheduling are
 testable under a fake clock.
@@ -44,6 +51,7 @@ import multiprocessing.connection
 import multiprocessing.context
 import os
 import signal
+import socket
 import threading
 import time
 import traceback
@@ -75,8 +83,6 @@ TaskMeta = Optional[Dict[str, Any]]
 
 #: How long a killed worker gets to die before escalating to SIGKILL.
 _KILL_GRACE_S = 2.0
-#: Supervisor poll granularity.
-_POLL_S = 0.05
 
 #: Failure type recorded for cooperatively cancelled cells.
 FAILURE_CANCELLED = "cancelled"
@@ -293,10 +299,17 @@ class SupervisedPool:
         # supervision loop runs in a pool thread), so both live behind one
         # lock.  (cell, attempt, not_before, meta): retries wait out
         # backoff; meta carries the service's correlation/trace metadata.
-        self._lock = threading.Lock()
+        # Re-entrant because ``request_stop`` runs in SIGINT/SIGTERM
+        # handlers, which can interrupt the supervising thread while it
+        # holds the lock.
+        self._lock = threading.RLock()
         self._pending: Deque[Tuple[Cell, int, float, TaskMeta]] = deque()
         self._cancelled: Set[str] = set()
         self._workers: List[_Worker] = []
+        #: The wake channel, open only while a supervision loop runs:
+        #: ``_wake`` writes a byte to the second socket (under the lock,
+        #: so it can never race the close) and the loop's wait returns.
+        self._wake_pair: Optional[Tuple[socket.socket, socket.socket]] = None
         #: Optional :class:`repro.obs.svc.ServiceTracer` installed by the
         #: service when request tracing is on; None costs nothing.
         self.tracer: Optional["ServiceTracer"] = None
@@ -313,19 +326,22 @@ class SupervisedPool:
 
     def request_stop(self, reason: str = "signal") -> None:
         """Stop dispatching; drain in-flight cells, then return."""
-        if self._stop_reason is None:
-            self._stop_reason = reason
+        with self._lock:
+            if self._stop_reason is None:
+                self._stop_reason = reason
+            self._wake()
 
     def submit(
         self, cell: Cell, attempt: int = 1, meta: TaskMeta = None
     ) -> None:
-        """Queue one cell (thread-safe; the serve loop picks it up).
+        """Queue one cell (thread-safe; the serve loop picks it up at once).
 
         ``meta`` is the service's per-request metadata (correlation ID,
         trace flag, submission timestamp); batch callers omit it and the
         pool behaves exactly as before."""
         with self._lock:
             self._pending.append((cell, attempt, 0.0, meta))
+            self._wake()
 
     def cancel(self, config_hash: str) -> bool:
         """Cooperatively cancel the cell with ``config_hash``.
@@ -350,6 +366,7 @@ class SupervisedPool:
             )
             if queued or running:
                 self._cancelled.add(config_hash)
+                self._wake()
                 return True
         return False
 
@@ -383,6 +400,34 @@ class SupervisedPool:
             for worker_id, seconds in sorted(busy.items())
         }
 
+    # -- the wake channel --------------------------------------------------
+
+    def _wake(self) -> None:
+        """Make the supervision loop's wait return (caller holds the lock).
+
+        Harmless when no loop runs (there is no channel to write to); a
+        full socket buffer means a wake is already pending."""
+        if self._wake_pair is not None:
+            try:
+                self._wake_pair[1].send(b"\0")
+            except BlockingIOError:
+                pass
+
+    def _open_wake_channel(self) -> socket.socket:
+        """Create the wake channel; returns the end the loop waits on."""
+        reader, writer = socket.socketpair()
+        reader.setblocking(False)
+        writer.setblocking(False)
+        with self._lock:
+            self._wake_pair = (reader, writer)
+        return reader
+
+    def _close_wake_channel(self) -> None:
+        with self._lock:
+            pair, self._wake_pair = self._wake_pair, None
+        for sock in pair or ():
+            sock.close()
+
     # -- scheduling arithmetic (fake-clock testable) -----------------------
 
     def backoff_s(self, attempt: int) -> float:
@@ -398,6 +443,32 @@ class SupervisedPool:
         not_before = self._clock() + self.backoff_s(attempt)
         with self._lock:
             self._pending.appendleft((cell, attempt + 1, not_before, meta))
+
+    def _wait_timeout_s(
+        self, deadline_monotonic: Optional[float]
+    ) -> Optional[float]:
+        """Seconds until the nearest timer the loop must act on — a busy
+        cell's timeout, a retry's backoff, the run deadline — or None
+        when only a worker pipe or a wake can change anything."""
+        now = self._clock()
+        timers: List[float] = []
+        timeout_s = self.timeout_s
+        if timeout_s is not None:
+            timers.extend(
+                worker.started_at + timeout_s
+                for worker in self._workers if worker.busy
+            )
+        if self._stop_reason is None:
+            if deadline_monotonic is not None:
+                timers.append(deadline_monotonic)
+            with self._lock:
+                timers.extend(
+                    not_before for _, _, not_before, _ in self._pending
+                    if not_before > now
+                )
+        if not timers:
+            return None
+        return max(0.0, min(timers) - now)
 
     # -- records -----------------------------------------------------------
 
@@ -614,17 +685,24 @@ class SupervisedPool:
                 meta=meta,
             ))
 
-    def _collect(self, emit: Callable[[Dict[str, Any]], None]) -> None:
-        """Receive finished records (or EOFs from dead workers)."""
+    def _collect(
+        self,
+        emit: Callable[[Dict[str, Any]], None],
+        wake: socket.socket,
+        timeout_s: Optional[float],
+    ) -> None:
+        """Block until a busy worker's pipe (a record, or EOF from a dead
+        worker) or the ``wake`` channel is readable, or ``timeout_s``
+        passes (None: no timer is pending); then receive the records."""
         busy = [w for w in self._workers if w.busy]
-        if not busy:
-            time.sleep(_POLL_S)
-            return
-        ready = set(
-            multiprocessing.connection.wait(
-                [w.conn for w in busy], timeout=_POLL_S
-            )
-        )
+        waitables: List[Any] = [w.conn for w in busy]
+        waitables.append(wake)
+        ready = set(multiprocessing.connection.wait(waitables, timeout_s))
+        if wake in ready:
+            try:
+                wake.recv(4096)
+            except BlockingIOError:
+                pass
         for worker in busy:
             if worker.conn not in ready:
                 continue
@@ -725,10 +803,11 @@ class SupervisedPool:
         workers_n: int,
         persistent: bool,
     ) -> PoolStatus:
-        self._workers = [self._spawn() for _ in range(workers_n)]
-        with self._lock:
-            self._supervise_started_at = self._clock()
+        wake = self._open_wake_channel()
         try:
+            self._workers = [self._spawn() for _ in range(workers_n)]
+            with self._lock:
+                self._supervise_started_at = self._clock()
             while True:
                 now = self._clock()
                 if (deadline_monotonic is not None and now >= deadline_monotonic
@@ -749,12 +828,15 @@ class SupervisedPool:
                     if (not persistent and self.queue_depth() == 0
                             and not any(w.busy for w in self._workers)):
                         break
-                self._collect(emit)
+                self._collect(
+                    emit, wake, self._wait_timeout_s(deadline_monotonic)
+                )
                 self._expire_timeouts(emit)
         finally:
             for worker in self._workers:
                 worker.shutdown()
             self._workers = []
+            self._close_wake_channel()
 
         with self._lock:
             not_run = [cell for cell, _, _, _ in self._pending]

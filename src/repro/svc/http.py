@@ -689,7 +689,8 @@ class ServiceServer:
         self, writer: asyncio.StreamWriter, path: str
     ) -> None:
         """Chunked JSONL event stream; ends when the client goes away,
-        stalls past the drain deadline, or the service finishes draining.
+        stalls past the drain deadline, or the service is draining with
+        no record left to deliver.
 
         ``since`` is exclusive: only events with ``seq`` strictly greater
         than it are sent, so a client that reconnects with the last seq it
@@ -730,7 +731,9 @@ class ServiceServer:
         )
         sent_any = since > 0
         try:
-            while True:
+            # A draining service ends a caught-up stream at once, but only
+            # after the records of cells still in flight have been sent.
+            while not self.service.events_exhausted(since):
                 events = await self.service.events_since(since, timeout_s=5.0)
                 if events and sent_any and events[0]["seq"] > since + 1:
                     missed = events[0]["seq"] - since - 1
@@ -757,8 +760,6 @@ class ServiceServer:
                     if transport is not None:
                         transport.abort()
                     return
-                if self.service.draining and not events:
-                    break
             writer.write(b"0\r\n\r\n")
             await asyncio.wait_for(
                 writer.drain(), limits.events_drain_timeout_s

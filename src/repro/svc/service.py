@@ -32,8 +32,19 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    get_type_hints,
+)
 
+from repro.core import SimConfig
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, REQUEST_BUCKETS_MS
 from repro.obs.prom import labeled
@@ -114,6 +125,52 @@ _SPEC_FIELDS = {
 _REQUIRED_FIELDS = ("trace", "policy", "disks")
 _OPTIONAL_NONE = ("cache_blocks", "seed")
 
+#: ``SimConfig`` fields a JSON ``config_overrides`` may set, by type; the
+#: rest (``faults``, ``geometry``) hold objects JSON cannot carry.
+_SIM_CONFIG_TYPES = get_type_hints(SimConfig)
+_OVERRIDE_TYPES = {
+    name: hint for name, hint in _SIM_CONFIG_TYPES.items()
+    if hint in (int, float, str, bool)
+}
+_OVERRIDE_REFUSED = sorted(set(_SIM_CONFIG_TYPES) - set(_OVERRIDE_TYPES))
+
+
+def _coerce(name: str, value: Any, expected: type, what: str) -> Any:
+    """``value`` as a JSON-borne ``expected`` (an int may stand for a
+    float; a bool is never a number), or :class:`SpecError`."""
+    if expected in (int, float) and isinstance(value, bool):
+        raise SpecError(f"{what} {name!r} must be {expected.__name__}")
+    if expected is float and isinstance(value, int):
+        value = float(value)
+    if not isinstance(value, expected):
+        raise SpecError(
+            f"{what} {name!r} must be {expected.__name__}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
+def _overrides_from_spec(overrides: Dict[str, Any]) -> Dict[str, Any]:
+    """Validated ``config_overrides``: only ``SimConfig`` fields the
+    engine can honour from JSON, each of its field's type — refused here
+    with a 400 rather than failing later in a pool worker."""
+    refused = sorted(set(overrides) & set(_OVERRIDE_REFUSED))
+    if refused:
+        raise SpecError(
+            f"config_overrides cannot set {', '.join(refused)} over JSON "
+            f"({', '.join(_OVERRIDE_REFUSED)} hold objects, not values)"
+        )
+    unknown = sorted(set(overrides) - set(_OVERRIDE_TYPES))
+    if unknown:
+        raise SpecError(
+            f"unknown config_overrides field(s) {', '.join(unknown)}; "
+            f"valid fields: {', '.join(sorted(_OVERRIDE_TYPES))}"
+        )
+    return {
+        name: _coerce(name, value, _OVERRIDE_TYPES[name], "config override")
+        for name, value in overrides.items()
+    }
+
 
 def cell_from_spec(spec: Any) -> Cell:
     """A validated :class:`Cell` from a JSON request body.
@@ -134,20 +191,14 @@ def cell_from_spec(spec: Any) -> Cell:
         raise SpecError(f"missing required cell field(s): {', '.join(missing)}")
     kwargs: Dict[str, Any] = {}
     for name, value in spec.items():
-        expected = _SPEC_FIELDS[name]
         if value is None and name in _OPTIONAL_NONE:
             kwargs[name] = None
             continue
-        if expected in (int, float) and isinstance(value, bool):
-            raise SpecError(f"cell field {name!r} must be {expected.__name__}")
-        if expected is float and isinstance(value, int):
-            value = float(value)
-        if not isinstance(value, expected):
-            raise SpecError(
-                f"cell field {name!r} must be {expected.__name__}, "
-                f"got {type(value).__name__}"
-            )
-        kwargs[name] = value
+        kwargs[name] = _coerce(name, value, _SPEC_FIELDS[name], "cell field")
+    if "config_overrides" in kwargs:
+        kwargs["config_overrides"] = _overrides_from_spec(
+            kwargs["config_overrides"]
+        )
     try:
         validate_names(kwargs["trace"], kwargs["policy"])
     except ValueError as exc:
@@ -235,6 +286,8 @@ class SimulationService:
         self._pool_status: Optional[PoolStatus] = None
         self.draining = False
         self.drain_reason: Optional[str] = None
+        #: Set once ``drain`` has joined the pool: no record can follow.
+        self.drained = False
         self._events: Deque[Dict[str, Any]] = deque(maxlen=config.event_buffer)
         self._event_seq = 0
         self._event_cond: Optional[asyncio.Condition] = None
@@ -287,6 +340,7 @@ class SimulationService:
         if self._pool_thread is not None:
             await asyncio.to_thread(self._pool_thread.join)
         self.store.close()
+        self.drained = True
         self._publish({"type": "service", "state": "drained",
                        "reason": reason})
         _log.info("service drained", extra={"reason": reason})
@@ -613,6 +667,16 @@ class SimulationService:
         except asyncio.TimeoutError:
             return []
         return [e for e in self._events if e["seq"] > seq]
+
+    def events_exhausted(self, seq: int) -> bool:
+        """Whether a stream that has sent every event up to ``seq`` may
+        end: the service is draining, nothing newer is buffered, and no
+        admitted cell is left that could still publish a record."""
+        return (
+            self.draining
+            and self._event_seq <= seq
+            and (self.admission.in_system == 0 or self.drained)
+        )
 
     def sample_gauges(self) -> None:
         """Refresh scrape-time gauges (queue depth, per-worker

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.core import PrefetchPolicy, SimConfig, Simulator
+from repro.core import POLICIES, PrefetchPolicy, SimConfig, Simulator, make_policy
+from repro.core.multiprocess import MultiProcessSimulator
 from repro.core.policy import PrefetchPolicy as BasePolicy
+from repro.trace import build as build_workload
+from repro.trace import cache_blocks_for
 from tests.conftest import make_trace, run, simple_config
 
 
@@ -55,6 +58,39 @@ class TestDriverOverhead:
         config = simple_config(cache_blocks=8).with_(driver_overhead_ms=0.0)
         result = run([0, 1], config=config)
         assert result.driver_ms == 0.0
+
+
+class TestZeroOverheadTerminates:
+    """Prefetches issued before a reference at zero driver overhead leave
+    no debt; the engine must still start the disks for them, or every
+    hinted prefetcher deadlocks with its fetches queued forever."""
+
+    @pytest.mark.parametrize("trace_name", ["cscope1", "ld"])
+    def test_every_policy_terminates(self, trace_name):
+        trace = build_workload(trace_name, scale=0.05)
+        config = SimConfig(
+            cache_blocks=cache_blocks_for(trace_name, 0.05),
+            driver_overhead_ms=0.0,
+        )
+        for policy in sorted(POLICIES):
+            result = Simulator(trace, make_policy(policy), 2, config).run()
+            result.check_accounting()
+            assert result.driver_ms == 0.0, policy
+            assert result.references == len(trace.blocks), policy
+
+    @pytest.mark.parametrize("policy", ["fixed-horizon", "reverse-aggressive"])
+    def test_multiprocess_terminates(self, policy):
+        processes = [
+            (build_workload(name, scale=0.05), make_policy(policy))
+            for name in ("cscope1", "ld")
+        ]
+        out = MultiProcessSimulator(
+            processes, num_disks=2,
+            config=SimConfig(cache_blocks=200, driver_overhead_ms=0.0),
+        ).run()
+        for result in out.results:
+            result.check_accounting()
+            assert result.driver_ms == 0.0
 
 
 class TestParallelism:

@@ -20,6 +20,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -41,6 +42,7 @@ from repro.runner import (
 )
 from repro.runner.execute import CELL_KINDS
 from repro.runner.runner import (
+    EXIT_DEADLINE,
     EXIT_FAILED_CELLS,
     EXIT_INTERRUPTED,
     EXIT_OK,
@@ -641,6 +643,181 @@ class TestPoolCancellation:
         pool = SupervisedPool(jobs=1)
         assert pool.cancel("no-such-hash") is False
         assert pool.counters["cancelled"] == 0
+
+
+# -- event-driven supervision (real processes) ------------------------------------------
+
+SUPERVISOR_THREAD = "supervisor-under-test"
+
+
+def wait_until(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class SupervisorProbe:
+    """Counts the blocking calls the supervision thread makes — pipe and
+    wake-channel waits, and sleeps — and tells whether it is blocked in
+    one right now, and with what timeout."""
+
+    def __init__(self, monkeypatch):
+        import multiprocessing.connection
+
+        self.calls = 0
+        self.blocked = False
+        self.timeout = None
+        monkeypatch.setattr(
+            multiprocessing.connection, "wait",
+            self._counted(multiprocessing.connection.wait, timeout_arg=1),
+        )
+        monkeypatch.setattr(time, "sleep", self._counted(time.sleep, 0))
+
+    def _counted(self, real, timeout_arg):
+        def call(*args, **kwargs):
+            if threading.current_thread().name != SUPERVISOR_THREAD:
+                return real(*args, **kwargs)
+            self.calls += 1
+            self.timeout = (
+                args[timeout_arg] if len(args) > timeout_arg
+                else kwargs.get("timeout")
+            )
+            self.blocked = True
+            try:
+                return real(*args, **kwargs)
+            finally:
+                self.blocked = False
+
+        return call
+
+    def serve(self, pool, emit):
+        thread = threading.Thread(
+            target=pool.serve, args=(emit,), name=SUPERVISOR_THREAD
+        )
+        thread.start()
+        return thread
+
+    def wait_blocked_without_timer(self):
+        wait_until(lambda: self.blocked)
+        assert self.timeout is None
+
+
+class TestEventDrivenSupervision:
+    """The loop blocks on worker pipes plus the pool's wake channel, and
+    times out only for a real timer: an idle pool makes no periodic
+    wake-ups, and submit, cancel and stop act at once."""
+
+    def test_idle_serve_pool_makes_no_periodic_wakeups(self, monkeypatch):
+        from repro.runner.pool import SupervisedPool
+
+        probe = SupervisorProbe(monkeypatch)
+        pool = SupervisedPool(jobs=1)
+        thread = probe.serve(pool, [].append)
+        try:
+            time.sleep(0.5)
+            idle_calls = probe.calls
+        finally:
+            pool.request_stop()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        # A 50 ms poll would have woken about ten times.
+        assert idle_calls <= 2
+
+    def test_submit_wakes_an_idle_supervisor(self, test_kinds, monkeypatch):
+        from repro.runner.pool import SupervisedPool
+
+        probe = SupervisorProbe(monkeypatch)
+        pool = SupervisedPool(jobs=1)
+        records = []
+        thread = probe.serve(pool, records.append)
+        try:
+            probe.wait_blocked_without_timer()
+            started = time.monotonic()
+            pool.submit(kind_cell("instant", n=1))
+            wait_until(lambda: len(records) == 1)
+            assert time.monotonic() - started < 1.0
+            assert records[0]["status"] == "ok"
+        finally:
+            pool.request_stop()
+            thread.join(timeout=30.0)
+
+    def test_cancel_of_a_queued_cell_wakes_the_supervisor(
+            self, test_kinds, monkeypatch):
+        from repro.runner.pool import SupervisedPool
+
+        probe = SupervisorProbe(monkeypatch)
+        pool = SupervisedPool(jobs=1)
+        records = []
+        slow = kind_cell("sleep", sleep_s=30.0)
+        queued = kind_cell("instant", n=2)
+        pool.submit(slow)
+        pool.submit(queued)
+        thread = probe.serve(pool, records.append)
+        try:
+            wait_until(lambda: pool.counters["dispatched"] == 1)
+            probe.wait_blocked_without_timer()
+            started = time.monotonic()
+            assert pool.cancel(queued.config_hash) is True
+            wait_until(lambda: len(records) == 1)
+            assert time.monotonic() - started < 1.0
+            assert records[0]["hash"] == queued.config_hash
+            assert records[0]["failure"] == "cancelled"
+        finally:
+            pool.cancel(slow.config_hash)
+            pool.request_stop()
+            thread.join(timeout=30.0)
+
+    def test_request_stop_wakes_an_idle_supervisor(self, monkeypatch):
+        from repro.runner.pool import SupervisedPool
+
+        probe = SupervisorProbe(monkeypatch)
+        pool = SupervisedPool(jobs=1)
+        thread = probe.serve(pool, [].append)
+        try:
+            probe.wait_blocked_without_timer()
+            started = time.monotonic()
+            pool.request_stop()
+            thread.join(timeout=30.0)
+            assert time.monotonic() - started < 1.0
+        finally:
+            pool.request_stop()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+
+    def test_wake_after_supervision_ends_is_harmless(self, test_kinds):
+        from repro.runner.pool import SupervisedPool
+
+        pool = SupervisedPool(jobs=1)
+        status = pool.run([kind_cell("instant", n=1)], [].append)
+        assert status.stop_reason is None
+        pool.submit(kind_cell("instant", n=2))
+        assert pool.cancel(kind_cell("instant", n=2).config_hash) is True
+        pool.request_stop()
+        assert pool.queue_depth() == 1
+
+    def test_deadline_drains_the_running_cell_and_leaves_the_rest(
+            self, test_kinds, tmp_path):
+        journal_dir = str(tmp_path / "run")
+        plan = [kind_cell("sleep", sleep_s=0.6)] + [
+            kind_cell("instant", n=n) for n in range(3)
+        ]
+        report = run_plan(
+            plan, journal_dir=journal_dir, jobs=1, max_minutes=0.2 / 60.0,
+            install_signal_handlers=False,
+        )
+        assert report.exit_code == EXIT_DEADLINE
+        assert report.stop_reason == "deadline"
+        # The cell running at the deadline drained into the journal ...
+        assert report.records[plan[0].config_hash]["status"] == "ok"
+        # ... and the rest were never dispatched: left for --resume.
+        assert report.counters["dispatched"] == 1
+        assert report.results()[1:] == [None, None, None]
+        assert Journal(journal_dir).read_manifest()["status"] == "deadline"
+        resumed = run_plan(plan, journal_dir=journal_dir, jobs=1,
+                           resume=True, install_signal_handlers=False)
+        assert resumed.exit_code == EXIT_OK
+        assert resumed.skipped == 1 and resumed.completed == 4
 
 
 # -- resume -----------------------------------------------------------------------------

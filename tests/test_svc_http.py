@@ -139,6 +139,38 @@ class TestHttpSurface:
 
         http_test(scenario, store_dir=str(tmp_path / "store"), jobs=1)
 
+    def test_unhonourable_config_overrides_are_400_before_dispatch(
+            self, test_kinds, tmp_path):
+        async def scenario(service, port):
+            for overrides, named in (
+                ({"bogus": 1}, "bogus"),
+                ({"faults": "x"}, "faults"),
+                ({"geometry": {}}, "geometry"),
+                ({"driver_overhead_ms": "fast"}, "driver_overhead_ms"),
+                ({"cache_blocks": 1.5}, "cache_blocks"),
+                ({"mirrored": 1}, "mirrored"),
+            ):
+                status, _, payload = await fetch(
+                    port, "POST", "/v1/cells",
+                    dict(SPEC, config_overrides=overrides),
+                )
+                assert status == 400, overrides
+                assert named in payload["error"], payload
+            assert service.pool.counters["dispatched"] == 0
+            # A valid override still computes; an int stands for a float.
+            status, _, payload = await fetch(
+                port, "POST", "/v1/cells",
+                dict(SPEC, policy="forestall",
+                     config_overrides={"driver_overhead_ms": 0}),
+            )
+            assert status == 200 and payload["served"] == "computed"
+            assert payload["record"]["result"]["driver_ms"] == 0.0
+            assert payload["record"]["cell"]["config_overrides"] == {
+                "driver_overhead_ms": 0.0,
+            }
+
+        http_test(scenario, store_dir=str(tmp_path / "store"), jobs=1)
+
     def test_unknown_path_404_wrong_method_405(self, test_kinds, tmp_path):
         async def scenario(service, port):
             status, _, _ = await fetch(port, "GET", "/v2/nope")
@@ -425,5 +457,41 @@ class TestTelemetryHttp:
             typed = [e for e in full
                      if e["type"] in ("queued", "record", "request")]
             assert typed and all("corr_id" in event for event in typed)
+
+        http_test(scenario, store_dir=str(tmp_path / "store"), jobs=1)
+
+    def test_drain_delivers_in_flight_records_then_ends_streams(
+            self, test_kinds, tmp_path):
+        async def scenario(service, port):
+            slow = {"trace": "ld", "policy": "demand", "disks": 1,
+                    "kind": "sleep", "params": {"sleep_s": 0.5}}
+            post = asyncio.ensure_future(
+                fetch(port, "POST", "/v1/cells", slow)
+            )
+            while service.pool.counters["dispatched"] < 1:
+                await asyncio.sleep(0.01)
+            since = (await service.events_since(0))[-1]["seq"]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                f"GET /v1/events?since={since} HTTP/1.1\r\n"
+                "Host: t\r\n\r\n".encode()
+            )
+            await writer.drain()
+            await reader.readuntil(b"\r\n\r\n")  # caught up and streaming
+            drain = asyncio.ensure_future(service.drain("signal"))
+            # Ends once the slow cell's record is out — well before the
+            # 5 s heartbeat a caught-up stream would otherwise wait.
+            raw = await asyncio.wait_for(reader.read(), 3.0)
+            writer.close()
+            status, _, payload = await post
+            assert status == 200
+            events = [
+                json.loads(line) for line in raw.split(b"\r\n")
+                if line.startswith(b"{")
+            ]
+            records = [e for e in events if e["type"] == "record"]
+            assert [e["hash"] for e in records] == [payload["record"]["hash"]]
+            assert raw.endswith(b"0\r\n\r\n")
+            assert await drain == 75
 
         http_test(scenario, store_dir=str(tmp_path / "store"), jobs=1)
