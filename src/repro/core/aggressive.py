@@ -15,7 +15,7 @@ exactly the implementation described in section 2.7.
 
 from __future__ import annotations
 
-from typing import Optional, Set, cast
+from typing import Callable, Optional, cast
 
 from repro.core.batching import batch_size_for
 from repro.core.policy import MissingScanner, PrefetchPolicy, SimulatorLike, Victim
@@ -55,49 +55,9 @@ class Aggressive(PrefetchPolicy):
 
     # -- batch construction ------------------------------------------------------
 
-    def _free_disks(self) -> Set[int]:
-        """Disks that are idle with an empty queue (ready for a new batch)."""
-        array = self.sim.array
-        return {
-            disk
-            for disk in range(array.num_disks)
-            if array.is_idle(disk) and array.queue_length(disk) == 0
-        }
-
     def _fill_free_disks(self, cursor: int) -> None:
-        sim = self.sim
-        free = self._free_disks()
-        if not free:
-            return
-        budgets = {disk: self.batch_size for disk in sorted(free)}
-        index = sim.index
-        new_floor: Optional[int] = None
-        for position, block in self._scanner.missing_in(cursor, len(sim.blocks)):
-            disk = sim.disk_of(block)
-            budget = budgets.get(disk)
-            if budget is None or budget == 0:
-                # This block's disk is busy or its batch is full; it stays
-                # missing, so the scan floor cannot move past it.
-                if new_floor is None:
-                    new_floor = position
-                if all(b == 0 for b in budgets.values()):
-                    break
-                continue
-            victim = self._victim_for(cursor, position)
-            if victim is False:
-                # Do-no-harm disallows any further fetch (later positions
-                # would need an even later-referenced victim).
-                if new_floor is None:
-                    new_floor = position
-                break
-            self.issue(block, victim)
-            budgets[disk] = budget - 1
-        else:
-            if new_floor is None:
-                new_floor = len(sim.blocks)
-        if new_floor is None:
-            new_floor = len(sim.blocks)
-        self._scanner.floor = max(self._scanner.floor, new_floor)
+        fill_free_disks(self, self._scanner, self.batch_size, cursor,
+                        self._victim_for)
 
     def _victim_for(self, cursor: int, fetch_position: int) -> Victim:
         """Free buffer (None), a do-no-harm-compatible victim, or False."""
@@ -114,3 +74,52 @@ class Aggressive(PrefetchPolicy):
         if sim.index.next_use(victim, cursor) <= fetch_position:
             return False
         return victim
+
+
+def fill_free_disks(
+    policy: PrefetchPolicy,
+    scanner: MissingScanner,
+    batch_size: int,
+    cursor: int,
+    victim_for: Callable[[int, int], Victim],
+) -> None:
+    """The aggressive family's batch rule (section 2.7): walk the missing
+    blocks from ``cursor`` in request order, routing each to its disk,
+    until every disk that was free on entry has issued ``batch_size``
+    fetches or ``victim_for(cursor, position)`` refuses an eviction
+    (False).  Then advance the scanner's floor to the first reference left
+    missing.  Aggressive passes its do-no-harm victim rule, reverse
+    aggressive its precomputed eviction schedule."""
+    sim = policy.sim
+    free = sim.array.free
+    if not free:
+        return
+    # Issuing a fetch takes its disk out of ``free``: snapshot it first.
+    budgets = {disk: batch_size for disk in sorted(free)}
+    open_budgets = len(budgets)
+    new_floor: Optional[int] = None
+    for position, block in scanner.missing_in(cursor, len(sim.blocks)):
+        disk = sim.disk_of(block)
+        budget = budgets.get(disk, 0)
+        if budget == 0:
+            # This block's disk is busy or its batch is full; it stays
+            # missing, so the scan floor cannot move past it.
+            if new_floor is None:
+                new_floor = position
+            if open_budgets == 0:
+                break
+            continue
+        victim = victim_for(cursor, position)
+        if victim is False:
+            # No eviction allowed (do-no-harm, or nothing released yet);
+            # later positions would need an even later victim.
+            if new_floor is None:
+                new_floor = position
+            break
+        policy.issue(block, victim)
+        budgets[disk] = budget - 1
+        if budget == 1:
+            open_budgets -= 1
+    if new_floor is None:
+        new_floor = len(sim.blocks)
+    scanner.floor = max(scanner.floor, new_floor)

@@ -431,8 +431,10 @@ class Simulator:
         heapq.heappush(self._events, (time, kind, self._event_seq, payload))
 
     def _start_disks(self, now: float) -> None:
-        for disk in range(self.num_disks):
-            started = self.array.start_next(disk, now)
+        array = self.array
+        # Ascending disk order, as a poll of every disk would start them.
+        for disk in sorted(array.ready):
+            started = array.start_next(disk, now)
             if started is None:
                 continue
             _request, completion, breakdown = started

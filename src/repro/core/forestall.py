@@ -415,7 +415,7 @@ class Forestall(PrefetchPolicy):
 
     def on_disk_idle(self, disk: int, now: float) -> None:
         cursor = self.sim.cursor
-        if disk in self._pending_triggers and self._is_free(disk):
+        if disk in self._pending_triggers and disk in self.sim.array.free:
             self._check(cursor, force=True)
         else:
             self._check(cursor)
@@ -423,10 +423,6 @@ class Forestall(PrefetchPolicy):
     def on_miss(self, cursor: int, now: float) -> None:
         super().on_miss(cursor, now)
         self._next_check_cursor = 0
-
-    def _is_free(self, disk: int) -> bool:
-        array = self.sim.array
-        return array.is_idle(disk) and array.queue_length(disk) == 0
 
     def _check(self, cursor: int, force: bool = False) -> None:
         """Evaluate the stall-inevitability condition for every disk.
@@ -449,12 +445,9 @@ class Forestall(PrefetchPolicy):
             arrays = None  # below the batch-cut threshold; walk instead
         triggered, backstopped, min_slack, first_distance = survey
         self._pending_triggers = triggered | backstopped
-        # Probe idleness only for disks the survey named (usually none or
-        # one) rather than materializing the whole free set every check.
-        ready = {disk for disk in triggered if self._is_free(disk)}
-        ready_backstop = {
-            disk for disk in backstopped - triggered if self._is_free(disk)
-        }
+        free = self.sim.array.free
+        ready = triggered & free
+        ready_backstop = (backstopped - triggered) & free
         if ready or ready_backstop:
             self._issue_batches(cursor, ready, ready_backstop, arrays)
             self._next_check_cursor = 0

@@ -241,6 +241,28 @@ class _Process:
         self.sim.issue_fetch(self, block, victim)
 
 
+def _check_config(config: SimConfig) -> None:
+    """Refuse the :class:`SimConfig` settings this engine would silently
+    ignore: it builds only the ``hp97560`` and ``simple`` drives, places
+    blocks clustered, and has no mirroring, timeline, fault injection or
+    CPU scaling."""
+    faults = config.faults
+    unsupported = {
+        "disk_model": config.disk_model not in ("hp97560", "simple"),
+        "mirrored": config.mirrored,
+        "record_timeline": config.record_timeline,
+        "faults": faults is not None and not faults.is_null,
+        "placement": config.placement != "clustered",
+        "cpu_speedup": config.cpu_speedup != 1.0,
+    }
+    for name, rejected in unsupported.items():
+        if rejected:
+            raise ValueError(
+                f"MultiProcessSimulator does not support SimConfig.{name}="
+                f"{getattr(config, name)!r}"
+            )
+
+
 class MultiProcessSimulator:
     """Run several (trace, policy) pairs against shared disks and cache."""
 
@@ -254,6 +276,7 @@ class MultiProcessSimulator:
         if not workloads:
             raise ValueError("need at least one process")
         self.config = config if config is not None else SimConfig()
+        _check_config(self.config)
         self.num_disks = num_disks
         self.allocator = allocator if allocator is not None else StaticAllocator()
         self.array = self._build_array()
@@ -343,8 +366,9 @@ class MultiProcessSimulator:
         heapq.heappush(self._events, (time, kind, self._event_seq, payload))
 
     def _start_disks(self, now: float) -> None:
-        for disk in range(self.num_disks):
-            started = self.array.start_next(disk, now)
+        array = self.array
+        for disk in sorted(array.ready):
+            started = array.start_next(disk, now)
             if started is None:
                 continue
             _request, completion, breakdown = started

@@ -21,8 +21,9 @@ eviction victims from the precomputed schedule instead of choosing greedily.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple, cast
+from typing import List, Optional, Tuple, cast
 
+from repro.core.aggressive import fill_free_disks
 from repro.core.batching import batch_size_for
 from repro.core.policy import MissingScanner, PrefetchPolicy, SimulatorLike, Victim
 from repro.theory.model import run_aggressive_model
@@ -150,43 +151,9 @@ class ReverseAggressive(PrefetchPolicy):
             return  # no buffer free; the engine retries after a completion
         self.issue(block, victim)
 
-    def _free_disks(self) -> Set[int]:
-        array = self.sim.array
-        return {
-            disk
-            for disk in range(array.num_disks)
-            if array.is_idle(disk) and array.queue_length(disk) == 0
-        }
-
     def _fill_free_disks(self, cursor: int) -> None:
-        sim = self.sim
-        free = self._free_disks()
-        if not free:
-            return
-        budgets = {disk: self.batch_size for disk in sorted(free)}
-        new_floor: Optional[int] = None
-        for position, block in self._scanner.missing_in(cursor, len(sim.blocks)):
-            disk = sim.disk_of(block)
-            budget = budgets.get(disk, 0)
-            if budget == 0:
-                if new_floor is None:
-                    new_floor = position
-                if all(b == 0 for b in budgets.values()):
-                    break
-                continue
-            victim = self._next_scheduled_victim(cursor, position)
-            if victim is False:
-                if new_floor is None:
-                    new_floor = position
-                break
-            self.issue(block, victim)
-            budgets[disk] = budget - 1
-        else:
-            if new_floor is None:
-                new_floor = len(sim.blocks)
-        if new_floor is None:
-            new_floor = len(sim.blocks)
-        self._scanner.floor = max(self._scanner.floor, new_floor)
+        fill_free_disks(self, self._scanner, self.batch_size, cursor,
+                        self._next_scheduled_victim)
 
     def _next_scheduled_victim(self, cursor: int, fetch_position: int) -> Victim:
         """The next released eviction from the schedule, or None for a free

@@ -15,6 +15,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Set,
     Tuple,
     Union,
 )
@@ -31,12 +32,15 @@ PLACEMENT_GROUP_BLOCKS = 8550
 
 
 class DriveModel(Protocol):
-    """What the array needs from a drive: a head position for scheduling
-    and a service-time model (satisfied by :class:`DiskDrive` and
+    """What the array needs from a drive: a head position for scheduling,
+    the same position unit for any block (``cylinder_of``), and a
+    service-time model (satisfied by :class:`DiskDrive` and
     :class:`~repro.disk.simple.SimpleDrive`)."""
 
     @property
     def cylinder(self) -> int: ...
+
+    def cylinder_of(self, lbn: int) -> int: ...
 
     def service(self, lbn: int, start_time: float) -> ServiceBreakdown: ...
 
@@ -115,10 +119,17 @@ class DiskArray:
     never retries — recovery policy (backoff, failover, abandonment) is
     the engine's job.
 
+    Two sets answer "which disks can take work" without polling every
+    disk: :attr:`free` holds the idle disks with an empty queue (ready for
+    a new batch) and :attr:`ready` the idle disks with queued work (what
+    :meth:`start_next` would start).  :meth:`submit`, :meth:`start_next`
+    and :meth:`complete` keep both exact; callers only read them.
+
     ``repro.obs`` instruments the request lifecycle by shadowing
     :meth:`submit` and :meth:`start_next` on the *instance* (queue-depth
-    samples, busy spans); changing those signatures means updating
-    ``repro.obs.observer`` in the same commit.
+    samples, busy spans).  The shadows call through to these methods, so
+    the sets stay exact under observation; changing those signatures means
+    updating ``repro.obs.observer`` in the same commit.
     """
 
     def __init__(
@@ -138,11 +149,14 @@ class DiskArray:
         self.geometry = geometry
         self.faults = faults
         self.drives: List[DriveModel] = [drive_factory() for _ in range(num_disks)]
-        cylinder_of = self._cylinder_of
+        # Each queue keys requests in its own drive's head units, the unit
+        # pop() is handed the head position in.
         self.queues: List[RequestQueue] = [
-            make_queue(discipline, cylinder_of) for _ in range(num_disks)
+            make_queue(discipline, drive.cylinder_of) for drive in self.drives
         ]
         self.in_service: List[Optional[Request]] = [None] * num_disks
+        self.free: Set[int] = set(range(num_disks))
+        self.ready: Set[int] = set()
         self.busy_time = [0.0] * num_disks
         self.service_time_total = 0.0
         self.requests_completed = 0
@@ -151,12 +165,6 @@ class DiskArray:
         self.transient_errors = 0
         self.dead_errors = 0
         self.slowed_requests = 0
-
-    def _cylinder_of(self, lbn: int) -> int:
-        try:
-            return self.geometry.block_to_cylinder(lbn)
-        except ValueError:
-            return lbn
 
     # -- request lifecycle ---------------------------------------------------
 
@@ -171,6 +179,9 @@ class DiskArray:
             lbn=lbn, block=block, seq=self._seq, kind=kind, attempt=attempt
         )
         self.queues[disk].push(request)
+        if self.in_service[disk] is None:
+            self.free.discard(disk)
+            self.ready.add(disk)
         return request
 
     def is_idle(self, disk: int) -> bool:
@@ -214,10 +225,12 @@ class DiskArray:
                     self.transient_errors += 1
                 else:
                     self._outcomes[disk] = OUTCOME_OK
+        total = breakdown.total
         self.in_service[disk] = request
-        self.busy_time[disk] += breakdown.total
-        self.service_time_total += breakdown.total
-        return request, now + breakdown.total, breakdown
+        self.ready.discard(disk)
+        self.busy_time[disk] += total
+        self.service_time_total += total
+        return request, now + total, breakdown
 
     def complete(self, disk: int) -> Request:
         """Mark the in-service request on ``disk`` finished."""
@@ -225,6 +238,10 @@ class DiskArray:
         if request is None:
             raise RuntimeError(f"disk {disk} has no request in service")
         self.in_service[disk] = None
+        if self.queues[disk]:
+            self.ready.add(disk)
+        else:
+            self.free.add(disk)
         self.requests_completed += 1
         return request
 

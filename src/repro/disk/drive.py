@@ -17,7 +17,7 @@ in the paper.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.disk.geometry import HP97560, DiskGeometry
 from repro.disk.seek import SeekModel
@@ -106,35 +106,37 @@ class DiskDrive:
             self._ra_origin
         )
 
-    def _start_readahead(self, lbn: int, done_time: float) -> None:
-        """Begin prefetching the blocks after ``lbn`` into the drive cache."""
+    def _start_readahead(
+        self, lbn: int, done_time: float, media_ms: float
+    ) -> None:
+        """Begin prefetching the blocks after ``lbn`` into the drive cache
+        (``media_ms`` is ``lbn``'s own media transfer time)."""
         if not self.readahead:
             return
         self._ra_origin = lbn + 1
-        self._ra_origin_time = done_time + self.geometry.media_transfer_ms(lbn)
+        self._ra_origin_time = done_time + media_ms
         self._ra_span = min(
             self.geometry.cache_blocks,
             self.geometry.total_blocks - self._ra_origin,
         )
 
-    def _mechanical_estimate(self, lbn: int, t: float) -> float:
-        """Time a mechanical read of ``lbn`` would take starting at ``t``
-        (past the controller overhead), without touching drive state."""
+    def _position(
+        self, cylinder: int, track: int, fraction: float, t: float
+    ) -> Tuple[float, float]:
+        """Seek and rotational latency of a mechanical read of the block at
+        (``cylinder``, ``track``, ``fraction``) starting at ``t`` (past the
+        controller overhead), without touching drive state."""
         geom = self.geometry
-        target_cyl = geom.block_to_cylinder(lbn)
-        target_track = geom.block_to_track(lbn)
-        if target_cyl != self._cylinder:
-            seek = self.seek_model.seek_time(target_cyl - self._cylinder)
-        elif target_track != self._track:
+        if cylinder != self._cylinder:
+            seek = self.seek_model.seek_time(cylinder - self._cylinder)
+        elif track != self._track:
             seek = geom.head_switch_ms
         else:
             seek = 0.0
-        arrival = t + seek
+        # The platter angle is a function of absolute time.
         rotation_ms = geom.rotation_ms
-        angle_fraction = (arrival / rotation_ms) % 1.0
-        target_fraction = geom.rotational_fraction(lbn)
-        rotation = ((target_fraction - angle_fraction) % 1.0) * rotation_ms
-        return seek + rotation + geom.media_transfer_ms(lbn)
+        angle_fraction = ((t + seek) / rotation_ms) % 1.0
+        return seek, ((fraction - angle_fraction) % 1.0) * rotation_ms
 
     # -- service -------------------------------------------------------------
 
@@ -145,9 +147,10 @@ class DiskDrive:
         ``start_time + breakdown.total``.
         """
         geom = self.geometry
-        geom._check_block(lbn)
+        cylinder, track, fraction, media_ms = geom.locate(lbn)
         out = ServiceBreakdown(overhead=geom.controller_overhead_ms)
         t = start_time + out.overhead
+        seek, rotation = self._position(cylinder, track, fraction, t)
 
         ready = self._cache_ready_time(lbn)
         if ready is not None:
@@ -156,7 +159,7 @@ class DiskDrive:
             # A distant readahead block may still be streaming off the
             # media; the drive serves whichever path finishes first, and a
             # fresh mechanical read beats waiting out a long stream.
-            if cache_total <= self._mechanical_estimate(lbn, t):
+            if cache_total <= seek + rotation + media_ms:
                 out.cache_hit = True
                 out.cache_wait = cache_wait
                 out.transfer = geom.block_bus_transfer_ms
@@ -164,30 +167,24 @@ class DiskDrive:
                 self.cache_hits += 1
                 return out
 
-        target_cyl = geom.block_to_cylinder(lbn)
-        target_track = geom.block_to_track(lbn)
-        if target_cyl != self._cylinder:
-            out.seek = self.seek_model.seek_time(target_cyl - self._cylinder)
-        elif target_track != self._track:
-            out.seek = geom.head_switch_ms
-        t += out.seek
-
-        # The platter angle is a function of absolute time.
-        rotation = geom.rotation_ms
-        angle_fraction = (t / rotation) % 1.0
-        target_fraction = geom.rotational_fraction(lbn)
-        out.rotation = ((target_fraction - angle_fraction) % 1.0) * rotation
-        t += out.rotation
-
+        out.seek = seek
+        t += seek
+        out.rotation = rotation
+        t += rotation
         # Bus is faster than the media on this drive, so transfers overlap.
-        out.transfer = geom.media_transfer_ms(lbn)
-        t += out.transfer
+        out.transfer = media_ms
+        t += media_ms
 
-        self._cylinder = target_cyl
-        self._track = target_track
-        self._start_readahead(lbn, t)
+        self._cylinder = cylinder
+        self._track = track
+        self._start_readahead(lbn, t, media_ms)
         self.requests_served += 1
         return out
+
+    def cylinder_of(self, lbn: int) -> int:
+        """The cylinder of ``lbn``: the head unit scheduling queues key
+        requests by."""
+        return self.geometry.block_to_cylinder(lbn)
 
     @property
     def cylinder(self) -> int:

@@ -31,86 +31,89 @@ class DiskGeometry:
     # Time to switch between heads within a cylinder.
     head_switch_ms: float = 2.5
 
+    # Derived constants, computed once in __post_init__ (via
+    # object.__setattr__; the class is frozen): the drive model reads them
+    # on every simulated request.
+    sectors_per_cylinder: int = field(init=False, repr=False, compare=False)
+    sectors_per_block: int = field(init=False, repr=False, compare=False)
+    blocks_per_track: float = field(init=False, repr=False, compare=False)
+    blocks_per_cylinder: int = field(init=False, repr=False, compare=False)
+    total_sectors: int = field(init=False, repr=False, compare=False)
+    total_blocks: int = field(init=False, repr=False, compare=False)
+    #: Time for one full platter revolution.
+    rotation_ms: float = field(init=False, repr=False, compare=False)
+    #: Time for one sector to pass under the head.
+    sector_time_ms: float = field(init=False, repr=False, compare=False)
+    #: Time to read one block off the media (no seek/rotate).
+    block_media_transfer_ms: float = field(init=False, repr=False, compare=False)
+    #: Time to move one block over the interface bus.
+    block_bus_transfer_ms: float = field(init=False, repr=False, compare=False)
+    #: Capacity of the on-drive readahead cache, in blocks.
+    cache_blocks: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.block_size % self.sector_size:
             raise ValueError("block_size must be a multiple of sector_size")
-
-    @property
-    def sectors_per_cylinder(self) -> int:
-        return self.sectors_per_track * self.tracks_per_cylinder
-
-    @property
-    def sectors_per_block(self) -> int:
-        return self.block_size // self.sector_size
-
-    @property
-    def blocks_per_track(self) -> float:
-        return self.sectors_per_track / self.sectors_per_block
-
-    @property
-    def blocks_per_cylinder(self) -> int:
-        return self.sectors_per_cylinder // self.sectors_per_block
-
-    @property
-    def total_sectors(self) -> int:
-        return self.sectors_per_cylinder * self.cylinders
-
-    @property
-    def total_blocks(self) -> int:
-        return self.total_sectors // self.sectors_per_block
-
-    @property
-    def rotation_ms(self) -> float:
-        """Time for one full platter revolution."""
-        return 60_000.0 / self.rpm
-
-    @property
-    def sector_time_ms(self) -> float:
-        """Time for one sector to pass under the head."""
-        return self.rotation_ms / self.sectors_per_track
-
-    @property
-    def block_media_transfer_ms(self) -> float:
-        """Time to read one block off the media (no seek/rotate)."""
-        return self.sector_time_ms * self.sectors_per_block
-
-    @property
-    def block_bus_transfer_ms(self) -> float:
-        """Time to move one block over the interface bus."""
-        return self.block_size / self.transfer_rate_bytes_per_ms
-
-    @property
-    def cache_blocks(self) -> int:
-        """Capacity of the on-drive readahead cache, in blocks."""
-        return self.cache_bytes // self.block_size
+        sectors_per_cylinder = self.sectors_per_track * self.tracks_per_cylinder
+        sectors_per_block = self.block_size // self.sector_size
+        total_sectors = sectors_per_cylinder * self.cylinders
+        rotation_ms = 60_000.0 / self.rpm
+        sector_time_ms = rotation_ms / self.sectors_per_track
+        derived = {
+            "sectors_per_cylinder": sectors_per_cylinder,
+            "sectors_per_block": sectors_per_block,
+            "blocks_per_track": self.sectors_per_track / sectors_per_block,
+            "blocks_per_cylinder": sectors_per_cylinder // sectors_per_block,
+            "total_sectors": total_sectors,
+            "total_blocks": total_sectors // sectors_per_block,
+            "rotation_ms": rotation_ms,
+            "sector_time_ms": sector_time_ms,
+            "block_media_transfer_ms": sector_time_ms * sectors_per_block,
+            "block_bus_transfer_ms": (
+                self.block_size / self.transfer_rate_bytes_per_ms
+            ),
+            "cache_blocks": self.cache_bytes // self.block_size,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     # --- address arithmetic -------------------------------------------------
 
-    def block_to_sector(self, lbn: int) -> int:
-        return lbn * self.sectors_per_block
-
-    def sector_to_cylinder(self, sector: int) -> int:
-        return sector // self.sectors_per_cylinder
-
     def block_to_cylinder(self, lbn: int) -> int:
         self._check_block(lbn)
-        return self.sector_to_cylinder(self.block_to_sector(lbn))
+        return lbn * self.sectors_per_block // self.sectors_per_cylinder
 
     def block_to_track(self, lbn: int) -> int:
         """Absolute track index (cylinder * tracks_per_cylinder + head)."""
         self._check_block(lbn)
-        return self.block_to_sector(lbn) // self.sectors_per_track
+        return lbn * self.sectors_per_block // self.sectors_per_track
 
     def block_rotational_offset(self, lbn: int) -> int:
         """First sector of the block within its track."""
         self._check_block(lbn)
-        return self.block_to_sector(lbn) % self.sectors_per_track
+        return lbn * self.sectors_per_block % self.sectors_per_track
 
     def _check_block(self, lbn: int) -> None:
         if not 0 <= lbn < self.total_blocks:
             raise ValueError(
                 f"LBN {lbn} out of range [0, {self.total_blocks})"
             )
+
+    def locate(self, lbn: int) -> Tuple[int, int, float, float]:
+        """``(cylinder, absolute track, rotational fraction, media ms)`` of
+        block ``lbn``, range-checked once: everything the drive model needs
+        to service one request.  Each element equals the matching
+        single-question method (``block_to_cylinder``, ``block_to_track``,
+        ``rotational_fraction``, ``media_transfer_ms``) exactly."""
+        self._check_block(lbn)
+        sector = lbn * self.sectors_per_block
+        per_track = self.sectors_per_track
+        return (
+            sector // self.sectors_per_cylinder,
+            sector // per_track,
+            sector % per_track / per_track,
+            self.block_media_transfer_ms,
+        )
 
     # -- per-LBN rotational interface (overridden by zoned geometries) -------
 
@@ -173,7 +176,6 @@ class ZonedGeometry(DiskGeometry):
     _zone_starts: Tuple[Tuple[int, int, Zone], ...] = field(
         init=False, repr=False, compare=False
     )
-    _total_blocks: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -187,15 +189,11 @@ class ZonedGeometry(DiskGeometry):
             block_start += self._zone_blocks(zone)
             cylinder_start += zone.cylinders
         object.__setattr__(self, "_zone_starts", tuple(starts))
-        object.__setattr__(self, "_total_blocks", block_start)
+        object.__setattr__(self, "total_blocks", block_start)
 
     def _zone_blocks(self, zone: Zone) -> int:
         sectors = zone.cylinders * self.tracks_per_cylinder * zone.sectors_per_track
         return sectors // self.sectors_per_block
-
-    @property
-    def total_blocks(self) -> int:
-        return self._total_blocks
 
     def _zone_of(self, lbn: int) -> Tuple[int, int, Zone]:
         self._check_block(lbn)
@@ -204,7 +202,7 @@ class ZonedGeometry(DiskGeometry):
                 return block_start, cylinder_start, zone
         raise AssertionError("unreachable")
 
-    def _locate(self, lbn: int) -> Tuple[Zone, int, int, int]:
+    def _zone_address(self, lbn: int) -> Tuple[Zone, int, int, int]:
         """(zone, cylinder, track-in-cylinder, sector offset in track)."""
         block_start, cylinder_start, zone = self._zone_of(lbn)
         sector = (lbn - block_start) * self.sectors_per_block
@@ -215,24 +213,34 @@ class ZonedGeometry(DiskGeometry):
         offset = within % zone.sectors_per_track
         return zone, cylinder, track, offset
 
+    def locate(self, lbn: int) -> Tuple[int, int, float, float]:
+        zone, cylinder, track, offset = self._zone_address(lbn)
+        per_track = zone.sectors_per_track
+        return (
+            cylinder,
+            cylinder * self.tracks_per_cylinder + track,
+            offset / per_track,
+            self.rotation_ms / per_track * self.sectors_per_block,
+        )
+
     def block_to_cylinder(self, lbn: int) -> int:
-        _zone, cylinder, _track, _offset = self._locate(lbn)
+        _zone, cylinder, _track, _offset = self._zone_address(lbn)
         return cylinder
 
     def block_to_track(self, lbn: int) -> int:
-        _zone, cylinder, track, _offset = self._locate(lbn)
+        _zone, cylinder, track, _offset = self._zone_address(lbn)
         return cylinder * self.tracks_per_cylinder + track
 
     def block_rotational_offset(self, lbn: int) -> int:
-        _zone, _cylinder, _track, offset = self._locate(lbn)
+        _zone, _cylinder, _track, offset = self._zone_address(lbn)
         return offset
 
     def rotational_fraction(self, lbn: int) -> float:
-        zone, _cylinder, _track, offset = self._locate(lbn)
+        zone, _cylinder, _track, offset = self._zone_address(lbn)
         return offset / zone.sectors_per_track
 
     def media_transfer_ms(self, lbn: int) -> float:
-        zone, _c, _t, _o = self._locate(lbn)
+        zone, _c, _t, _o = self._zone_address(lbn)
         sector_time = self.rotation_ms / zone.sectors_per_track
         return sector_time * self.sectors_per_block
 

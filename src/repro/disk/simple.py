@@ -39,7 +39,12 @@ class SimpleDrive:
             return ServiceBreakdown(transfer=self.sequential_ms, cache_hit=True)
         return ServiceBreakdown(transfer=self.access_ms)
 
+    def cylinder_of(self, lbn: int) -> int:
+        """Head units are LBNs: scheduling queues key requests by LBN, the
+        unit :attr:`cylinder` reports the head in."""
+        return lbn
+
     @property
     def cylinder(self) -> int:
-        """LBN ordering proxy so CSCAN still sorts sensibly."""
+        """Head position for scheduling: the last LBN served."""
         return 0 if self._last_lbn is None else self._last_lbn

@@ -9,6 +9,7 @@ from repro.core.multiprocess import (
     StaticAllocator,
     _SharedSlice,
 )
+from repro.faults import FaultSchedule
 from repro.trace import Trace
 from tests.conftest import make_trace
 
@@ -148,6 +149,28 @@ class TestEndToEnd:
     def test_requires_processes(self):
         with pytest.raises(ValueError):
             MultiProcessSimulator([], 1, config())
+
+    @pytest.mark.parametrize("field, value", [
+        ("disk_model", "ibm0661"),
+        ("disk_model", "hp97560-zoned"),
+        ("disk_model", "no-such-drive"),
+        ("mirrored", True),
+        ("record_timeline", True),
+        ("faults", FaultSchedule(read_error_rate=0.1)),
+        ("placement", "scatter"),
+        ("cpu_speedup", 2.0),
+    ])
+    def test_unsupported_config_rejected(self, field, value):
+        trace = make_trace(list(range(12)))
+        with pytest.raises(ValueError, match=f"SimConfig.{field}="):
+            MultiProcessSimulator([(trace, make_policy("demand"))], 2,
+                                  config().with_(**{field: value}))
+
+    def test_null_fault_schedule_accepted(self):
+        trace = make_trace(list(range(12)))
+        sim = MultiProcessSimulator([(trace, make_policy("demand"))], 2,
+                                    config(faults=FaultSchedule()))
+        assert sim.run()[0].references == 12
 
     def test_aggressive_neighbor_places_more_sustained_load(self):
         """The measurable core of the paper's section-6 conjecture: an
