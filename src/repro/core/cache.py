@@ -31,7 +31,8 @@ class BufferCache:
         self.present: Set[int] = set()
         self.evictions = 0
         self.fills = 0
-        #: Subclasses with resizable capacity may briefly exceed it.
+        #: Set by :meth:`shrink`: the cache may then hold more blocks than
+        #: its capacity until evictions drain it.
         self.allow_overflow = False
         #: Optional dense 0/1 mirror of ``present`` for vectorized scans
         #: (see :class:`repro.core.nextref.ScanSupport`).  Blocks outside
@@ -55,7 +56,22 @@ class BufferCache:
 
     @property
     def free_buffers(self) -> int:
-        return self.capacity - len(self.resident) - len(self.in_flight)
+        free = self.capacity - len(self.resident) - len(self.in_flight)
+        return free if free > 0 else 0  # a shrunk cache may be over capacity
+
+    def shrink(self, count: int, floor: int) -> int:
+        """Give up to ``count`` buffers away, keeping at least ``floor``;
+        returns how many went.  Blocks already held stay: the cache has no
+        free buffer until evictions drain it below its new capacity."""
+        granted = max(0, min(count, self.capacity - floor))
+        if granted:
+            self.capacity -= granted
+            self.allow_overflow = True
+        return granted
+
+    def grow(self, count: int) -> None:
+        """Take ``count`` more buffers (the other side of :meth:`shrink`)."""
+        self.capacity += count
 
     @property
     def occupancy(self) -> int:

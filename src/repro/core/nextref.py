@@ -285,7 +285,7 @@ class ScanSupport:
     """
 
     #: Refuse to build a mask beyond this many entries: a sparse block-id
-    #: space (e.g. multiprocess namespacing) would waste memory on it.
+    #: space would waste memory on it.
     MAX_MASK_ENTRIES = 1 << 26
 
     def __init__(self, blocks_arr: Any, mask: bytearray, mask_np: Any) -> None:

@@ -6,6 +6,7 @@ average disk utilization.  :class:`SimulationResult` carries exactly those,
 plus the compute-time component and enough detail for the figures.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -69,11 +70,12 @@ class SimulationResult:
         return self.compute_ms / 1000.0
 
     def check_accounting(self, tolerance_ms: float = 1e-6) -> None:
-        """Elapsed time must equal compute + driver + stall exactly."""
+        """Elapsed time must equal compute + driver + stall exactly (a
+        non-finite residual fails too: NaN compares false with any bound)."""
         residual = self.elapsed_ms - (
             self.compute_ms + self.driver_ms + self.stall_ms
         )
-        if abs(residual) > tolerance_ms:
+        if not math.isfinite(residual) or abs(residual) > tolerance_ms:
             raise AssertionError(
                 f"accounting identity violated by {residual} ms "
                 f"({self.trace_name}/{self.policy_name}/{self.num_disks})"

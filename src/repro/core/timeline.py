@@ -5,8 +5,8 @@ a configuration stalls needs the time axis back.  With
 ``SimConfig(record_timeline=True)`` the engine records every fetch issue,
 completion, eviction, and stall episode, and this module summarizes them:
 stall-episode distributions, per-disk busy/idle structure, and fetch
-lead times (how far ahead of its use each block arrived — the direct
-measure of how "aggressive" a policy actually was).
+lead times (how long each fetch took from issue to completion, queueing
+included).
 """
 
 from dataclasses import dataclass, field
@@ -79,10 +79,9 @@ class Timeline:
         return episodes
 
     def fetch_lead_times(self) -> Dict[int, float]:
-        """Per fetch completion, how long the block sat before... rather:
-        time between a block's fetch issue and its completion, keyed by
-        issue order — the service view.  See ``arrival_leads`` for the
-        policy view."""
+        """Per block, the time from issue to completion of its latest
+        completed fetch (queueing plus service) — the disk's view, not how
+        early the block arrived before the application used it."""
         issued: Dict[int, float] = {}
         leads: Dict[int, float] = {}
         for time, kind, block, _disk in self.events:

@@ -125,6 +125,10 @@ class DiskArray:
     :meth:`start_next` would start).  :meth:`submit`, :meth:`start_next`
     and :meth:`complete` keep both exact; callers only read them.
 
+    Several simulated processes may share one array (see
+    ``repro.core.multiprocess``): :meth:`submit` stamps each request with
+    its ``owner`` process, and the engine routes the completion back to it.
+
     ``repro.obs`` instruments the request lifecycle by shadowing
     :meth:`submit` and :meth:`start_next` on the *instance* (queue-depth
     samples, busy spans).  The shadows call through to these methods, so
@@ -159,6 +163,7 @@ class DiskArray:
         self.ready: Set[int] = set()
         self.busy_time = [0.0] * num_disks
         self.service_time_total = 0.0
+        self.requests_started = 0
         self.requests_completed = 0
         self._seq = 0
         self._outcomes: List[str] = [OUTCOME_OK] * num_disks
@@ -170,14 +175,12 @@ class DiskArray:
 
     def submit(
         self, disk: int, block: int, lbn: int, kind: str = "read",
-        attempt: int = 0,
+        attempt: int = 0, owner: int = 0,
     ) -> Request:
         """Queue a request for ``lbn`` (application block ``block``) on
-        ``disk``; ``kind`` is "read" or "write"."""
+        ``disk`` for process ``owner``; ``kind`` is "read" or "write"."""
         self._seq += 1
-        request = Request(
-            lbn=lbn, block=block, seq=self._seq, kind=kind, attempt=attempt
-        )
+        request = Request(lbn, block, self._seq, kind, attempt, owner)
         self.queues[disk].push(request)
         if self.in_service[disk] is None:
             self.free.discard(disk)
@@ -230,6 +233,7 @@ class DiskArray:
         self.ready.discard(disk)
         self.busy_time[disk] += total
         self.service_time_total += total
+        self.requests_started += 1
         return request, now + total, breakdown
 
     def complete(self, disk: int) -> Request:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Type, Union
+from typing import (
+    Callable, Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple, Type,
+    Union,
+)
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """An outstanding request for one disk.
 
     ``block`` is the application-level block identity; ``lbn`` is the block's
@@ -25,6 +26,12 @@ class Request:
     (write-behind flush of an evicted dirty block).  ``attempt`` counts
     prior failed attempts at this fetch: 0 for a first issue, n for the
     n-th retry after transient read errors (see :mod:`repro.faults`).
+    ``owner`` is the index of the simulated process that submitted it
+    (always 0 with one process); its completion goes back to that process.
+
+    A named tuple rather than a frozen dataclass: one is built per disk
+    request, and a frozen dataclass's per-field ``object.__setattr__``
+    made construction about three times slower.
     """
 
     lbn: int
@@ -32,6 +39,7 @@ class Request:
     seq: int
     kind: str = "read"
     attempt: int = 0
+    owner: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready form for trace exports (``repro.obs``)."""
@@ -171,16 +179,19 @@ _QUEUE_TYPES: Dict[str, Type[Union[FCFSQueue, CSCANQueue, SSTFQueue]]] = {
     "fcfs": FCFSQueue, "cscan": CSCANQueue, "sstf": SSTFQueue,
 }
 
+#: The discipline names :func:`make_queue` accepts (in any letter case).
+DISCIPLINES = tuple(sorted(_QUEUE_TYPES))
+
 
 def make_queue(
     discipline: str, cylinder_of: Optional[Callable[[int], int]] = None
 ) -> RequestQueue:
-    """Build a request queue for the named discipline ("fcfs" or "cscan")."""
+    """Build a request queue for the named discipline (see DISCIPLINES)."""
     try:
         queue_type = _QUEUE_TYPES[discipline.lower()]
     except KeyError:
         raise ValueError(
             f"unknown disk scheduling discipline {discipline!r}; "
-            f"expected one of {sorted(_QUEUE_TYPES)}"
+            f"expected one of {list(DISCIPLINES)}"
         ) from None
     return queue_type(cylinder_of)

@@ -61,7 +61,7 @@ from repro.obs.svc import (
 from repro.runner.plan import Cell
 from repro.runner.pool import PoolStatus, SupervisedPool
 from repro.runner.runner import EXIT_DEADLINE, EXIT_INTERRUPTED
-from repro.runner.execute import validate_names
+from repro.runner.execute import sim_config_for, validate_names
 from repro.svc.admission import AdmissionController
 from repro.svc.breaker import CircuitBreaker
 from repro.svc.limits import ProtocolLimits
@@ -201,9 +201,15 @@ def cell_from_spec(spec: Any) -> Cell:
         )
     try:
         validate_names(kwargs["trace"], kwargs["policy"])
-    except ValueError as exc:
+        cell = Cell(**kwargs)
+        # SimConfig refuses out-of-range values (negative or non-finite
+        # times, unknown model names, ...): a 400 here, not a worker failure.
+        sim_config_for(cell)
+    except (ValueError, OverflowError) as exc:
         raise SpecError(str(exc)) from None
-    return Cell(**kwargs)
+    if cell.disks < 1:
+        raise SpecError(f"cell field 'disks' must be >= 1, got {cell.disks}")
+    return cell
 
 
 @dataclass

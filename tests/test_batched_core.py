@@ -92,7 +92,7 @@ class TestConstructionPathsAgree:
             assert succ_np == succ_py, seed
             assert first_np == first_py, seed
             # dict equality ignores order; first-occurrence order is part
-            # of the contract (multiprocess placement iterates it).
+            # of the contract.
             assert list(first_np) == list(first_py), seed
 
 

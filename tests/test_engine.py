@@ -135,6 +135,28 @@ class TestEngineRobustness:
                 trace, BasePolicy(), 1, SimConfig(disk_model="quantum")
             ).run()
 
+    @pytest.mark.parametrize("field, value", [
+        ("driver_overhead_ms", -0.5),
+        ("driver_overhead_ms", float("nan")),
+        ("simple_access_ms", float("inf")),
+        ("simple_sequential_ms", -1.0),
+        ("cpu_speedup", 0.0),
+        ("cpu_speedup", -1.0),
+        ("cpu_speedup", float("nan")),
+        ("cache_blocks", 0),
+        ("disk_model", "nope"),
+        ("placement", "nope"),
+        ("discipline", "bogus"),
+    ])
+    def test_out_of_range_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"SimConfig.{field}="):
+            SimConfig(**{field: value})
+
+    def test_boundary_config_accepted(self):
+        config = SimConfig(driver_overhead_ms=0.0, simple_sequential_ms=None,
+                           discipline="SSTF", cache_blocks=1)
+        assert config.with_(cpu_speedup=0.5).cpu_speedup == 0.5
+
     def test_empty_trace_completes_instantly(self):
         result = run([])
         assert result.elapsed_ms == 0.0

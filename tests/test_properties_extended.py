@@ -5,12 +5,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import SimConfig, Simulator, make_policy
+from repro.core import POLICIES, SimConfig, Simulator, make_policy
 from repro.core.hints import HintQuality, degrade_hints, resolve_hint_view
 from repro.core.multiprocess import MultiProcessSimulator, StaticAllocator
 from repro.disk.drive import DiskDrive
 from repro.disk.geometry import HP97560
 from repro.disk.scheduler import CSCANQueue, FCFSQueue, Request
+from repro.faults import DiskFailure, FaultSchedule, UnrecoverableReadError
+from repro.runner import result_digest
+from repro.trace import Trace
 from tests.conftest import make_trace, simple_config
 
 RELAXED = settings(
@@ -217,3 +220,68 @@ class TestMultiProcessProperties:
         for r in results:
             total = r.compute_ms + r.driver_ms + r.stall_ms
             assert r.elapsed_ms == pytest.approx(total, abs=1e-6)
+
+
+@st.composite
+def traces_with_writes(draw):
+    blocks = draw(st.lists(st.integers(0, 15), min_size=1, max_size=40))
+    writes = draw(st.one_of(
+        st.none(),
+        st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)),
+    ))
+    compute = draw(st.sampled_from([0.5, 2.0, 8.0]))
+    return Trace(name="t", blocks=blocks, compute_ms=[compute] * len(blocks),
+                 writes=writes)
+
+
+def _outcome(run):
+    """A run's digest, or the unrecoverable read that ended it."""
+    try:
+        return result_digest(run())
+    except UnrecoverableReadError as exc:
+        return f"unrecoverable: {exc}"
+
+
+class TestOneEngine:
+    @given(
+        trace=traces_with_writes(),
+        policy=st.sampled_from(sorted(POLICIES)),
+        disks=st.integers(1, 4),
+        discipline=st.sampled_from(["fcfs", "cscan", "sstf"]),
+        disk_model=st.sampled_from(
+            ["hp97560", "hp97560-zoned", "ibm0661", "simple"]
+        ),
+        cache_blocks=st.integers(2, 8),
+        mirrored=st.booleans(),
+        error_rate=st.sampled_from([0.0, 0.1, 0.3]),
+        death=st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 3), st.sampled_from([0.0, 20.0, 80.0])),
+        ),
+    )
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_one_process_is_the_engine(
+        self, trace, policy, disks, discipline, disk_model, cache_blocks,
+        mirrored, error_rate, death,
+    ):
+        if mirrored and disks % 2:
+            disks += 1
+        failures = ()
+        if death is not None:
+            failures = (DiskFailure(disk=death[0] % disks, at_ms=death[1]),)
+        config = SimConfig(
+            cache_blocks=cache_blocks, discipline=discipline,
+            disk_model=disk_model, mirrored=mirrored,
+            faults=FaultSchedule(read_error_rate=error_rate,
+                                 disk_failures=failures),
+        )
+        alone = _outcome(
+            lambda: Simulator(trace, make_policy(policy), disks, config).run()
+        )
+        shared = _outcome(
+            lambda: MultiProcessSimulator(
+                [(trace, make_policy(policy))], disks, config
+            ).run()[0]
+        )
+        assert shared == alone

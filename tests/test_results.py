@@ -33,6 +33,15 @@ class TestAccounting:
         with pytest.raises(AssertionError, match="accounting identity"):
             bad.check_accounting()
 
+    @pytest.mark.parametrize("overrides", [
+        {"elapsed_ms": float("nan")},
+        {"compute_ms": float("inf"), "elapsed_ms": float("inf")},
+    ])
+    def test_non_finite_residual_raises(self, overrides):
+        # NaN compares false with any tolerance; it must not pass as exact.
+        with pytest.raises(AssertionError, match="accounting identity"):
+            result(**overrides).check_accounting()
+
     def test_tolerance_respected(self):
         nearly = result(elapsed_ms=1100.0 + 1e-9)
         nearly.check_accounting(tolerance_ms=1e-6)

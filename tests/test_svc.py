@@ -340,6 +340,27 @@ class TestCellFromSpec:
          "unknown trace"),
         ({"trace": "ld", "policy": "nope", "disks": 1},
          "unknown policy"),
+        # Values SimConfig refuses are refused here, before any dispatch.
+        ({"trace": "ld", "policy": "demand", "disks": 0}, "disks"),
+        ({"trace": "ld", "policy": "demand", "disks": 1, "cpu_speedup": -1.0},
+         "cpu_speedup"),
+        ({"trace": "ld", "policy": "demand", "disks": 1, "cpu_speedup": 0},
+         "cpu_speedup"),
+        ({"trace": "ld", "policy": "demand", "disks": 1, "cache_blocks": 0},
+         "cache_blocks"),
+        ({"trace": "ld", "policy": "demand", "disks": 1,
+          "discipline": "bogus"}, "discipline"),
+        ({"trace": "ld", "policy": "demand", "disks": 1, "disk_model": "nope"},
+         "disk_model"),
+        ({"trace": "ld", "policy": "demand", "disks": 1,
+          "config_overrides": {"placement": "nope"}}, "placement"),
+        ({"trace": "ld", "policy": "forestall", "disks": 1,
+          "config_overrides": {"driver_overhead_ms": -0.5}},
+         "driver_overhead_ms"),
+        ({"trace": "ld", "policy": "demand", "disks": 1,
+          "config_overrides": {"disk_model": "simple",
+                               "simple_access_ms": float("nan")}},
+         "simple_access_ms"),
     ])
     def test_bad_specs_raise_spec_error(self, spec, message):
         with pytest.raises(SpecError, match=message):

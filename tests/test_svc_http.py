@@ -149,6 +149,8 @@ class TestHttpSurface:
                 ({"driver_overhead_ms": "fast"}, "driver_overhead_ms"),
                 ({"cache_blocks": 1.5}, "cache_blocks"),
                 ({"mirrored": 1}, "mirrored"),
+                # The wire's JSON admits NaN; SimConfig does not.
+                ({"simple_access_ms": float("nan")}, "simple_access_ms"),
             ):
                 status, _, payload = await fetch(
                     port, "POST", "/v1/cells",
