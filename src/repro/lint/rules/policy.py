@@ -36,6 +36,7 @@ class PolicyContractRule(Rule):
         "on_fetch_complete": ("disk", "service_ms"),
         "on_reference_served": ("cursor", "compute_ms"),
         "on_evict": ("block", "next_use"),
+        "on_write_allocate": ("block",),
         "issue": ("block", "victim"),
         "choose_victim": ("cursor", "exclude"),
         "victim_allows": ("victim", "fetch_position", "cursor"),

@@ -94,6 +94,14 @@ class ProfiledPolicy:
         finally:
             profiler.stop()
 
+    def on_write_allocate(self, block: int) -> None:
+        profiler = self._profiler
+        profiler.start("policy")
+        try:
+            self._policy.on_write_allocate(block)
+        finally:
+            profiler.stop()
+
     # -- transparent delegation -------------------------------------------------
 
     def __getattr__(self, attribute: str) -> Any:
