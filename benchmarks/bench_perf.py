@@ -28,6 +28,7 @@ import platform
 import resource
 import sys
 import time
+from contextlib import nullcontext
 
 from repro.core import SimConfig, Simulator, make_policy
 from repro.runner import write_json_atomic
@@ -98,12 +99,10 @@ def time_cell(trace, policy_name, disks, discipline, scale, repeat,
             from repro.perf import PhaseProfiler
 
             run_profiler = PhaseProfiler()
-        candidate = Simulator(
-            trace, make_policy(policy_name), disks, config,
-            profiler=run_profiler,
-        )
+        candidate = Simulator(trace, make_policy(policy_name), disks, config)
         start = time.perf_counter()
-        run_result = candidate.run()
+        with run_profiler if run_profiler is not None else nullcontext():
+            run_result = candidate.run()
         wall = time.perf_counter() - start
         if best_wall is None or wall < best_wall:
             best_wall, sim, result, profiler = wall, candidate, run_result, run_profiler

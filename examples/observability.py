@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Looking inside a run: stall episodes, disk activity, and attribution.
 
-The paper's tables compress each run to six numbers.  Two tools recover
-the time axis:
+The paper's tables compress each run to six numbers.  The engine emits a
+typed event at each decision, and two sinks of that stream recover the
+time axis:
 
-* ``record_timeline=True`` keeps raw stall/fetch events on the engine;
-* a ``repro.obs.Observer`` adds typed events, metrics, and an *exact*
+* ``record_timeline=True`` keeps compact stall/fetch records;
+* a ``repro.obs.Observer`` keeps every event, metrics, and an *exact*
   decomposition of stall time into causes, plus Perfetto export
   (see docs/OBSERVABILITY.md).
 

@@ -15,6 +15,7 @@ working-set/cache ratio that determines which regime (I/O-bound vs
 compute-bound) a configuration falls into.
 """
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -111,8 +112,8 @@ def run_one(
     message, so it must be readable).  Policies receive scale-adjusted
     horizon/batch defaults (see :func:`scaled_policy_kwargs`); explicit
     keyword arguments win.  A :class:`~repro.perf.PhaseProfiler` passed
-    as ``profiler`` collects a per-phase wall-clock breakdown without
-    changing the result; a :class:`~repro.obs.Observer` passed as
+    as ``profiler`` samples a per-phase wall-clock breakdown of the run
+    without changing the result; a :class:`~repro.obs.Observer` passed as
     ``observer`` records the event trace and stall attribution (also
     without changing the result).
     """
@@ -122,10 +123,12 @@ def run_one(
         # run them directly on the same code path the executor uses.
         trace = setting.trace(trace_name)
         config = setting.sim_config(trace_name, **(config_overrides or {}))
-        return Simulator(
+        sim = Simulator(
             trace, make_policy(policy, **policy_kwargs), num_disks, config,
-            profiler=profiler, observer=observer,
-        ).run()
+            observer=observer,
+        )
+        with profiler if profiler is not None else contextlib.nullcontext():
+            return sim.run()
     cell = setting.cell(
         trace_name, policy, num_disks,
         config_overrides=dict(config_overrides or {}),

@@ -253,7 +253,7 @@ def cmd_run(args) -> int:
     if profiler is not None:
         if args.profile:
             print()
-            print("wall-clock phase breakdown (self time):")
+            print("wall-clock phase breakdown (sampled):")
             print(profiler.report())
         if args.profile_json is not None:
             payload = json.dumps(profiler.to_dict(), indent=2, sort_keys=True)
@@ -673,7 +673,7 @@ def main(argv=None) -> int:
     run_parser.add_argument("--disks", "-d", type=int, default=1)
     run_parser.add_argument(
         "--profile", action="store_true",
-        help="print a wall-clock phase breakdown of the simulator "
+        help="print a sampled wall-clock phase breakdown of the simulator "
         "(policy / disk / cache / dispatch; see docs/PERFORMANCE.md)",
     )
     run_parser.add_argument(

@@ -13,6 +13,12 @@ run's accounting identity — ``elapsed == compute + driver + stall`` — is
 checked exactly at the end of every simulation, which makes the engine
 self-auditing.
 
+The engine is also the one place that says what happened: given a sink (a
+:class:`~repro.core.timeline.Timeline`, an Observer, or both), it emits a
+typed :class:`~repro.core.events.Event` at each decision, including the
+cause of every stall.  Each emission sits behind one ``sink is None``
+test, so a run without a sink builds no events.
+
 A :class:`Simulator` is one process.  The disk array, the event heap and
 its clock live in a :class:`_Machine` that several processes can share
 (:class:`repro.core.multiprocess.MultiProcessSimulator`); a lone
@@ -26,24 +32,16 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple, cast
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.core import events as ev
 from repro.core.cache import BufferCache
+from repro.core.events import Event, Fanout, Sink
 from repro.core.hints import resolve_hint_view
 from repro.core.nextref import EvictionHeap, NextRefIndex, ScanSupport
 from repro.core.policy import PrefetchPolicy
 from repro.core.results import SimulationResult
-from repro.core.timeline import (
-    EVICTION,
-    FAILOVER,
-    FAULT_INJECTED,
-    FETCH_DONE,
-    FETCH_ISSUED,
-    FETCH_RETRY,
-    STALL_END,
-    STALL_START,
-    Timeline,
-)
+from repro.core.timeline import Timeline
 from repro.disk.array import (
     OUTCOME_DEAD,
     OUTCOME_OK,
@@ -52,7 +50,7 @@ from repro.disk.array import (
     Placement,
     StripedLayout,
 )
-from repro.disk.drive import DiskDrive
+from repro.disk.drive import DiskDrive, ServiceBreakdown
 from repro.disk.geometry import HP97560, HP97560_ZONED, IBM0661, DiskGeometry
 from repro.disk.scheduler import DISCIPLINES, Request
 from repro.disk.seek import IBM0661_SEEK
@@ -62,7 +60,6 @@ from repro.trace.trace import Trace
 
 if TYPE_CHECKING:
     from repro.obs.observer import Observer
-    from repro.perf.profiler import PhaseProfiler
 
 _EVENT_DISK = 0  # completions processed before app steps at equal times
 _EVENT_APP = 1
@@ -228,7 +225,10 @@ class _Machine:
         start = self.offers % len(live)
         self.offers += 1
         for i in range(len(live)):
-            live[(start + i) % len(live)].policy.on_disk_idle(disk, now)
+            process = live[(start + i) % len(live)]
+            if process.sink is not None:
+                process._emit(process.sink, now, ev.POLICY_ON_DISK_IDLE, disk=disk)
+            process.policy.on_disk_idle(disk, now)
 
     def run(self, tick: Optional[Tuple[float, Callable[[], None]]] = None) -> None:
         """Dispatch events until every process has consumed its trace.
@@ -286,22 +286,15 @@ class Simulator:
         num_disks: int,
         config: Optional[SimConfig] = None,
         hints: Optional[List[Optional[int]]] = None,
-        profiler: Optional["PhaseProfiler"] = None,
         observer: Optional["Observer"] = None,
         *,
         _machine: Optional[_Machine] = None,
     ) -> None:
         self.config = config if config is not None else SimConfig()
-        #: Optional :class:`repro.perf.PhaseProfiler`.  When attached, the
-        #: policy is wrapped so its consultation time is accounted, and the
-        #: engine brackets disk service and cache bookkeeping; when None the
-        #: hot path carries no timing calls at all.
-        self.profiler = profiler
-        #: Optional :class:`repro.obs.Observer`.  When attached, the event
-        #: handlers are shadowed with recording versions (event tracing,
-        #: metrics, stall attribution — see docs/OBSERVABILITY.md); tracing
-        #: is read-only, so results stay bit-identical.  When None the hot
-        #: path carries no tracing calls at all.
+        #: Optional :class:`repro.obs.Observer`: a sink of this process's
+        #: events that adds metrics and stall attribution (see
+        #: docs/OBSERVABILITY.md).  Observing only reads, so results stay
+        #: bit-identical.
         self.observer = observer
         self.trace = trace
         self.policy = policy
@@ -390,18 +383,23 @@ class Simulator:
         self.elapsed = 0.0
         self.fetch_count = 0
         self.timeline = Timeline() if self.config.record_timeline else None
-
-        if profiler is not None:
-            from repro.perf import ProfiledPolicy
-
-            # ProfiledPolicy is a transparent delegating wrapper, not a
-            # subclass; it honours the full PrefetchPolicy surface.
-            self.policy = cast(PrefetchPolicy, ProfiledPolicy(policy, profiler))
-            self._instrument(profiler)
+        sinks: List[Sink] = []
+        if self.timeline is not None:
+            sinks.append(self.timeline)
         if observer is not None:
-            # Attached after the profiler so tracing wraps the profiled
-            # hooks; with both active the profiler's numbers include the
-            # observer's recording cost (see docs/OBSERVABILITY.md).
+            sinks.append(observer)
+        #: Where this process's events go; None builds no events at all.
+        self.sink: Optional[Sink] = (
+            None if not sinks else sinks[0] if len(sinks) == 1 else Fanout(sinks)
+        )
+        # What the events report, kept only while a sink listens: the open
+        # stall's cause and cursor, the number of the last fetch issued for
+        # the block at the cursor, and each in-flight read's issue time.
+        self._stall_cause = ""
+        self._stall_cursor = -1
+        self._demand_fetch = 0
+        self._issued_ms: Dict[int, float] = {}
+        if observer is not None:
             observer.attach(self)
         self.policy.bind(self)
 
@@ -417,36 +415,6 @@ class Simulator:
         return self._machine.events_dispatched
 
     # -- construction helpers --------------------------------------------------
-
-    def _instrument(self, profiler: "PhaseProfiler") -> None:
-        """Shadow the hot-path methods with phase-bracketed versions.
-
-        Instance-attribute shadowing keeps the class methods untouched, so
-        a simulator without a profiler pays nothing — no flag checks, no
-        indirection.  The wrappers only add timing; behaviour (and thus
-        every :class:`SimulationResult` bit) is unchanged.
-        """
-        inner_start_disks = self._start_disks
-
-        def timed_start_disks(now: float) -> None:
-            profiler.start("disk")
-            try:
-                inner_start_disks(now)
-            finally:
-                profiler.stop()
-
-        self._start_disks = timed_start_disks  # type: ignore[method-assign]
-
-        inner_issue_fetch = self.issue_fetch
-
-        def timed_issue_fetch(block: int, victim: Optional[int]) -> None:
-            profiler.start("cache")
-            try:
-                inner_issue_fetch(block, victim)
-            finally:
-                profiler.stop()
-
-        self.issue_fetch = timed_issue_fetch  # type: ignore[method-assign]
 
     def _place_blocks(self) -> None:
         effective_disks = (
@@ -553,46 +521,141 @@ class Simulator:
     def is_write(self, cursor: int) -> bool:
         return self._writes is not None and self._writes[cursor]
 
-    def _evict(self, victim: Optional[int]) -> None:
-        """Shared eviction path: notify the policy and flush dirty data."""
+    def _evict(self, victim: Optional[int]) -> int:
+        """Shared eviction path: notify the policy and flush dirty data.
+        Returns the victim's next use (-1 when there is no victim)."""
         if victim is None:
-            return
+            return -1
         victim_next_use = self.index.next_use(victim, self.cursor)
+        sink = self.sink
+        if sink is not None:
+            self._emit(sink, self.now, ev.POLICY_ON_EVICT, block=victim)
         self.policy.on_evict(victim, victim_next_use)
         if victim in self._dirty:
             # Write-behind: the dirty block leaves the cache now and its
             # contents drain to disk asynchronously (modelled as flushing
             # from a staging buffer, so the cache buffer frees immediately).
             self._dirty.discard(victim)
+            disk = self.disk_of(victim)
             self.array.submit(
-                self.disk_of(victim), victim, self.lbn_of(victim),
-                kind="write", owner=self.pid,
+                disk, victim, self.lbn_of(victim), kind="write", owner=self.pid,
             )
+            if sink is not None:
+                self._emit_submit(sink, disk, victim, "write")
             self.driver_total += self.config.driver_overhead_ms
             self._debt += self.config.driver_overhead_ms
             self.flush_count += 1
+        return victim_next_use
 
     def issue_fetch(self, block: int, victim: Optional[int]) -> None:
         """Fetch ``block`` (evicting ``victim``); charges driver overhead."""
         self.cache.begin_fetch(block, victim)
-        self._evict(victim)
+        next_use = self._evict(victim)
         disk = self.disk_of(block)
         self.array.submit(disk, block, self.lbn_of(block), owner=self.pid)
         self.driver_total += self.config.driver_overhead_ms
         self._debt += self.config.driver_overhead_ms
         self.fetch_count += 1
-        if self.timeline is not None:
-            self.timeline.record(self.now, FETCH_ISSUED, block, disk)
+        sink = self.sink
+        if sink is not None:
+            self._emit_submit(sink, disk, block, "read")
+            now = self.now
+            cursor = self.cursor
+            demand = (
+                cursor < len(self.app_blocks) and self.app_blocks[cursor] == block
+            )
+            if demand:
+                self._demand_fetch = self.fetch_count
+            self._issued_ms[block] = now
+            self._emit(
+                sink, now, ev.FETCH_ISSUE, block=block, disk=disk, cursor=cursor,
+                cause="demand" if demand else "prefetch",
+            )
             if victim is not None:
-                self.timeline.record(self.now, EVICTION, victim)
+                self._emit_evict(sink, victim, next_use, "fetch")
+            self._emit_occupancy(sink, now)
 
     def write_allocate(self, block: int, victim: Optional[int]) -> None:
         """Allocate a buffer for a whole-block write — no disk read."""
         self.cache.begin_fetch(block, victim)
-        self._evict(victim)
+        next_use = self._evict(victim)
         self.cache.complete_fetch(block)
         self.eviction_heap.push(block, self.cursor)
         self.policy.on_write_allocate(block)
+        sink = self.sink
+        if sink is not None:
+            now = self.now
+            self._emit(sink, now, ev.WRITE_ALLOCATE, block=block, cursor=self.cursor)
+            if victim is not None:
+                self._emit_evict(sink, victim, next_use, "write")
+            self._emit_occupancy(sink, now)
+
+    # -- event emission (only ever called with a sink) --------------------------
+
+    def _emit(
+        self, sink: Sink, now: float, kind: str, block: int = -1, disk: int = -1,
+        dur_ms: float = 0.0, cursor: int = -1, value: float = 0.0,
+        cause: str = "", detail: Optional[Dict[str, object]] = None,
+        pid: Optional[int] = None,
+    ) -> None:
+        """Send one event of this process (unless ``pid`` says whose)."""
+        sink.emit(Event(
+            now, kind, block, disk, dur_ms, cursor, value, cause, detail,
+            self.pid if pid is None else pid,
+        ))
+
+    def _emit_submit(self, sink: Sink, disk: int, block: int, kind: str) -> None:
+        """A request of ``kind`` for ``block`` just joined ``disk``'s queue."""
+        now = self.now
+        depth = float(self.array.queue_length(disk))
+        self._emit(sink, now, ev.QUEUE_DEPTH, disk=disk, value=depth, cause="submit")
+        if kind != "read":
+            self._emit(sink, now, ev.FLUSH_ISSUE, block=block, disk=disk)
+
+    def _emit_evict(self, sink: Sink, victim: int, next_use: int, cause: str) -> None:
+        cursor = self.cursor
+        never = next_use >= self.index.never
+        self._emit(
+            sink, self.now, ev.EVICT, block=victim, cursor=cursor, cause=cause,
+            value=-1.0 if never else float(next_use - cursor),
+        )
+
+    def _emit_occupancy(self, sink: Sink, now: float) -> None:
+        occupancy = float(self.cache.occupancy)
+        self._emit(sink, now, ev.CACHE_OCCUPANCY, value=occupancy)
+
+    def _emit_dispatch(
+        self, sink: Sink, disk: int, request: Request,
+        breakdown: ServiceBreakdown, now: float,
+    ) -> None:
+        """``disk`` just started serving ``request``."""
+        detail: Dict[str, object] = breakdown.as_dict()
+        detail.update(request.as_dict())
+        self._emit(
+            sink, now, ev.DISK_BUSY, pid=request.owner, block=request.block,
+            disk=disk, dur_ms=breakdown.total, cause=request.kind, detail=detail,
+        )
+        self._emit(
+            sink, now, ev.QUEUE_DEPTH, pid=request.owner, disk=disk,
+            value=float(self.array.queue_length(disk)), cause="dispatch",
+        )
+
+    def _emit_stall(self, sink: Sink, block: int, cause: str) -> None:
+        """The application just began waiting for ``block`` because of
+        ``cause``; ``_stall_start`` is already set."""
+        self._stall_cause = cause
+        self._stall_cursor = self.cursor
+        self._emit(
+            sink, self._stall_start, ev.STALL_BEGIN, block=block,
+            cursor=self.cursor, cause=cause,
+        )
+
+    def _emit_failover(self, sink: Sink, block: int, twin: int, now: float) -> None:
+        """``block``'s request was resubmitted to its mirror ``twin``; a
+        stall on that block is now charged to the failover."""
+        if self._waiting_block == block:
+            self._stall_cause = ev.CAUSE_FAILOVER
+        self._emit(sink, now, ev.FETCH_FAILOVER, block=block, disk=twin)
 
     # -- event plumbing ---------------------------------------------------------
 
@@ -615,6 +678,9 @@ class Simulator:
                 self._events,
                 (completion, _EVENT_DISK, self._next_seq(), request.owner, disk),
             )
+            sink = self.sink
+            if sink is not None:
+                self._emit_dispatch(sink, disk, request, breakdown, now)
 
     def _release_disk(self, disk: int, now: float, arrived: Optional[int]) -> None:
         """``disk`` finished a request of this process: offer it to the
@@ -627,6 +693,9 @@ class Simulator:
         if peers:
             self._machine.offer(disk, now)
         elif not self.done:
+            sink = self.sink
+            if sink is not None:
+                self._emit(sink, now, ev.POLICY_ON_DISK_IDLE, disk=disk)
             self.policy.on_disk_idle(disk, now)
         self._start_disks(now)
         waiting = self._waiting_block
@@ -641,14 +710,20 @@ class Simulator:
     def _wake_app(self, now: float) -> None:
         """End the application's current stall: account the wait and
         schedule the app step that re-examines the reference."""
-        if self.timeline is not None:
+        start = self._stall_start
+        sink = self.sink
+        if sink is not None:
             waiting = self._waiting_block
             assert waiting is not None  # callers checked before waking
-            self.timeline.record(max(now, self._stall_start), STALL_END, waiting)
+            self._emit(
+                sink, max(now, start), ev.STALL_END, block=waiting,
+                dur_ms=max(0.0, now - start), cursor=self.cursor,
+                cause=self._stall_cause,
+            )
         self._waiting_block = None
         self._retry_miss = False
-        self.stall_total += max(0.0, now - self._stall_start)
-        self._push(max(now, self._stall_start), _EVENT_APP)
+        self.stall_total += max(0.0, now - start)
+        self._push(max(now, start), _EVENT_APP)
 
     def _disk_complete(self, disk: int, now: float) -> None:
         request = self.array.complete(disk)
@@ -657,19 +732,28 @@ class Simulator:
             if outcome is not OUTCOME_OK:
                 self._fault_complete(disk, request, outcome, now)
                 return
+        sink = self.sink
+        block = request.block
         if request.kind == "write":
             # A write-behind flush finished; nothing enters the cache, the
             # disk is simply free again.
+            if sink is not None:
+                self._emit(sink, now, ev.FLUSH_DONE, block=block, disk=disk)
             self._release_disk(disk, now, None)
             return
-        self.cache.complete_fetch(request.block)
+        self.cache.complete_fetch(block)
         if self._fetch_attempts:
-            self._fetch_attempts.pop(request.block, None)
-        self.eviction_heap.push(request.block, self.cursor)
-        if self.timeline is not None:
-            self.timeline.record(now, FETCH_DONE, request.block, disk)
+            self._fetch_attempts.pop(block, None)
+        self.eviction_heap.push(block, self.cursor)
+        if sink is not None:
+            latency = now - self._issued_ms.pop(block, now)
+            self._emit(
+                sink, now, ev.FETCH_DONE, block=block, disk=disk, dur_ms=latency
+            )
         self.policy.on_fetch_complete(disk, self._service_ms[disk])
-        self._release_disk(disk, now, request.block)
+        self._release_disk(disk, now, block)
+        if sink is not None:
+            self._emit_occupancy(sink, now)
 
     # -- fault handling ---------------------------------------------------------
 
@@ -685,8 +769,12 @@ class Simulator:
         assert faults is not None  # only reachable with fault injection on
         block = request.block
         service_ms = self._service_ms[disk]
-        if self.timeline is not None:
-            self.timeline.record(now, FAULT_INJECTED, block, disk)
+        sink = self.sink
+        if sink is not None:
+            self._emit(
+                sink, now, ev.FAULT, block=block, disk=disk, cause=outcome,
+                value=float(request.attempt),
+            )
         lost = False
         if request.kind == "write":
             if outcome is OUTCOME_DEAD:
@@ -698,8 +786,9 @@ class Simulator:
                         twin, block, self._lbn[block], kind="write",
                         owner=self.pid,
                     )
-                    if self.timeline is not None:
-                        self.timeline.record(now, FAILOVER, block, twin)
+                    if sink is not None:
+                        self._emit_submit(sink, twin, block, "write")
+                        self._emit_failover(sink, block, twin, now)
                 else:
                     self.lost_flushes += 1
             else:
@@ -712,15 +801,16 @@ class Simulator:
                 self.failover_reads += 1
                 self.retry_ms_total += service_ms
                 self.array.submit(twin, block, self._lbn[block], owner=self.pid)
-                if self.timeline is not None:
-                    self.timeline.record(now, FAILOVER, block, twin)
+                if sink is not None:
+                    self._emit_submit(sink, twin, block, "read")
+                    self._emit_failover(sink, block, twin, now)
             else:
                 # No surviving copy anywhere: the block is gone.  Release
                 # the buffer and let the app consume its references as
                 # unreadable (partial data) instead of crashing the run.
                 lost = True
                 self.lost_blocks.add(block)
-                self._abandon_fetch(block)
+                self._abandon_fetch(block, disk)
         elif self._waiting_block == block:
             # Failed *demand* fetch: retry with exponential backoff until
             # the budget is exhausted, then the data is unrecoverable.
@@ -731,26 +821,46 @@ class Simulator:
             backoff = faults.retry_backoff_ms * (2 ** (attempts - 1))
             self.retry_ms_total += service_ms + backoff
             self._push(now + backoff, _EVENT_RETRY, block)
+            if sink is not None:
+                # The stall on this block is now charged to the retries.
+                self._stall_cause = ev.CAUSE_FAULT_RETRY
+                self._emit(
+                    sink, now, ev.FETCH_BACKOFF, block=block, disk=disk,
+                    value=float(attempts),
+                )
         else:
             # Failed *prefetch*: abandon it — the bandwidth is already
             # wasted, and the block will surface later as a demand miss.
-            self._abandon_fetch(block)
+            self._abandon_fetch(block, disk)
         # A lost block wakes the app stalled on it into the partial-data
         # path; a parked miss may now have a free buffer (an abandoned
         # prefetch released one) or a free disk.
         self._release_disk(disk, now, block if lost else None)
 
-    def _abandon_fetch(self, block: int) -> None:
-        """Release the in-flight reservation of a fetch that will never
-        complete and re-expose the block to the policy's missing-set."""
+    def _abandon_fetch(self, block: int, disk: int) -> None:
+        """Release the in-flight reservation of a fetch that failed on
+        ``disk`` and will never complete, and re-expose the block to the
+        policy's missing-set."""
         self.cache.abort_fetch(block)
         self._fetch_attempts.pop(block, None)
         self.abandoned_prefetches += 1
-        if block not in self.lost_blocks:
+        sink = self.sink
+        lost = block in self.lost_blocks
+        if not lost:
             # Lost blocks are *not* re-exposed: scanners skip them and the
             # app consumes their references as unreadable.
             next_use = self.index.next_use(block, self.cursor)
+            if sink is not None:
+                self._emit(sink, self.now, ev.POLICY_ON_EVICT, block=block)
             self.policy.on_evict(block, next_use)
+        if sink is not None:
+            now = self.now
+            self._issued_ms.pop(block, None)
+            self._emit(
+                sink, now, ev.FETCH_ABANDON, block=block, disk=disk,
+                cause="lost" if lost else "prefetch-fault",
+            )
+            self._emit_occupancy(sink, now)
 
     def _retry_fetch(self, block: int, now: float) -> None:
         """Backoff expired: resubmit the failed demand fetch.  The target
@@ -759,12 +869,17 @@ class Simulator:
         if not self.cache.is_in_flight(block):
             return  # the fetch was aborted meanwhile (block became lost)
         disk = self.disk_of(block)
+        attempt = self._fetch_attempts.get(block, 0)
         self.array.submit(
-            disk, block, self.lbn_of(block),
-            attempt=self._fetch_attempts.get(block, 0), owner=self.pid,
+            disk, block, self.lbn_of(block), attempt=attempt, owner=self.pid,
         )
-        if self.timeline is not None:
-            self.timeline.record(now, FETCH_RETRY, block, disk)
+        sink = self.sink
+        if sink is not None:
+            self._emit_submit(sink, disk, block, "read")
+            self._emit(
+                sink, now, ev.FETCH_RETRY, block=block, disk=disk,
+                value=float(attempt),
+            )
         self._start_disks(now)
 
     def _app_step(self, now: float) -> None:
@@ -780,6 +895,9 @@ class Simulator:
             self._machine.live -= 1
             return
         fetches = self.fetch_count
+        sink = self.sink
+        if sink is not None:
+            self._emit(sink, now, ev.POLICY_BEFORE_REFERENCE, cursor=self.cursor)
         self.policy.before_reference(self.cursor, now)
         if self.fetch_count != fetches:
             # Start the disks on every issued prefetch, not only when it
@@ -798,6 +916,12 @@ class Simulator:
             compute = self.compute_ms[self.cursor]
             self.compute_total += compute
             self.policy.on_reference_served(self.cursor, compute)
+            if sink is not None:
+                kind = (
+                    ev.REF_MISS if self.cursor == self._stall_cursor
+                    else ev.REF_HIT
+                )
+                self._emit(sink, now, kind, block=block, cursor=self.cursor)
             self.cursor += 1
             self.eviction_heap.push(block, self.cursor)
             self._push(now + compute, _EVENT_APP)
@@ -810,6 +934,10 @@ class Simulator:
             compute = self.compute_ms[self.cursor]
             self.compute_total += compute
             self.policy.on_reference_served(self.cursor, compute)
+            if sink is not None:
+                self._emit(
+                    sink, now, ev.REF_UNREADABLE, block=block, cursor=self.cursor
+                )
             self.cursor += 1
             self._push(now + compute, _EVENT_APP)
         elif self.is_write(self.cursor) and not self.cache.is_in_flight(block):
@@ -821,8 +949,8 @@ class Simulator:
                 self._waiting_block = block
                 self._retry_miss = True
                 self._stall_start = now + debt
-                if self.timeline is not None:
-                    self.timeline.record(self._stall_start, STALL_START, block)
+                if sink is not None:
+                    self._emit_stall(sink, block, ev.CAUSE_ALL_DISKS_BUSY)
                 return
             self.write_allocate(block, victim)
             self._start_disks(now)  # a dirty victim may have queued a flush
@@ -834,9 +962,17 @@ class Simulator:
         elif self.cache.is_in_flight(block):
             self._waiting_block = block
             self._stall_start = now
-            if self.timeline is not None:
-                self.timeline.record(now, STALL_START, block)
+            if sink is not None:
+                # A fetch of this block issued in this very step (by
+                # before_reference) is a demand fetch, not a late prefetch.
+                self._emit_stall(
+                    sink, block,
+                    ev.CAUSE_DEMAND_MISS if self._demand_fetch > fetches
+                    else ev.CAUSE_PREFETCH_TOO_LATE,
+                )
         else:
+            if sink is not None:
+                self._emit(sink, now, ev.POLICY_ON_MISS, cursor=self.cursor)
             self.policy.on_miss(self.cursor, now)
             if not self.cache.present_or_coming(block):
                 if not self.cache.in_flight and not any(
@@ -854,56 +990,24 @@ class Simulator:
                 self._waiting_block = block
                 self._retry_miss = True
                 self._stall_start = now + debt
-                if self.timeline is not None:
-                    self.timeline.record(self._stall_start, STALL_START, block)
+                if sink is not None:
+                    self._emit_stall(sink, block, ev.CAUSE_ALL_DISKS_BUSY)
                 return
             self._start_disks(now)
             debt, self._debt = self._debt, 0.0
             self._waiting_block = block
             self._stall_start = now + debt
-            if self.timeline is not None:
-                self.timeline.record(self._stall_start, STALL_START, block)
+            if sink is not None:
+                self._emit_stall(sink, block, ev.CAUSE_DEMAND_MISS)
 
     # -- main loop ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        if self.profiler is not None:
-            return self._run_profiled()
         self._machine.run()
-        return self._build_result(self.elapsed)
-
-    def _run_profiled(self) -> SimulationResult:
-        """The event loop with phase bracketing — same dispatch order and
-        state transitions as ``_Machine.run`` for a lone process, plus
-        timing.  Each event is charged to ``dispatch``; the nested
-        policy/disk/cache brackets carve their self time out of it."""
-        profiler = self.profiler
-        assert profiler is not None
-        machine = self._machine
-        self._push(0.0, _EVENT_APP)
-        events = self._events
-        heappop = heapq.heappop
-        dispatched = 0
-        try:
-            while events and not self.done:
-                now, kind, _seq, _pid, payload = heappop(events)
-                dispatched += 1
-                machine.now = now
-                profiler.start("dispatch")
-                try:
-                    if kind == _EVENT_DISK:
-                        self._disk_complete(payload, now)
-                    elif kind == _EVENT_RETRY:
-                        self._retry_fetch(payload, now)
-                    else:
-                        self._app_step(now)
-                finally:
-                    profiler.stop()
-        finally:
-            machine.events_dispatched += dispatched
-        if not self.done:
-            raise RuntimeError("simulation deadlocked before trace completion")
-        return self._build_result(self.elapsed)
+        result = self._build_result(self.elapsed)
+        if self.observer is not None:
+            self.observer.finish([result])
+        return result
 
     def _build_result(self, horizon: float) -> SimulationResult:
         """This process's result.  The array's busy time is clipped to, and

@@ -284,12 +284,11 @@ class _MissingTracker:
         start = int(buf[:length].searchsorted(cursor))
         return buf[start:length]
 
-    def walk(self, cursor: int, snapshot: bool = False) -> Iterator[Tuple[int, int]]:
+    def walk(self, cursor: int) -> Iterator[Tuple[int, int]]:
         """Yield (position, block) for missing references at/past the cursor.
 
         Always iterates a copy, so callers may mutate the missing set
-        mid-walk (issuing a fetch removes its entry); ``snapshot`` is
-        accepted for interface clarity but the behaviour is identical.
+        mid-walk (issuing a fetch removes its entry).
         """
         start = self._prune_behind(cursor)
         blocks = self.sim.blocks
@@ -630,7 +629,7 @@ class Forestall(PrefetchPolicy):
         else:
             walk_iter = (
                 (position, block, None)
-                for position, block in tracker.walk(cursor, snapshot=True)
+                for position, block in tracker.walk(cursor)
             )
         for position, block, known_disk in walk_iter:
             disk = sim.disk_of(block) if known_disk is None else known_disk

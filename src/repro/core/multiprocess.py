@@ -30,12 +30,15 @@ completions route back to the right process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.engine import SimConfig, Simulator, _Machine
 from repro.core.policy import PrefetchPolicy
 from repro.core.results import SimulationResult
 from repro.trace.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.obs.observer import Observer
 
 
 @dataclass
@@ -136,6 +139,8 @@ class MultiProcessSimulator:
     process the run is exactly ``Simulator(trace, policy, ...)``.  Each
     process's result carries the shared array's statistics over the
     makespan (average fetch time, per-disk busy time, utilization).
+    An ``observer`` watches every process; each event carries its pid, and
+    each process's result gets its own stall attribution.
     """
 
     def __init__(
@@ -144,11 +149,13 @@ class MultiProcessSimulator:
         num_disks: int,
         config: Optional[SimConfig] = None,
         allocator: Optional[StaticAllocator] = None,
+        observer: Optional["Observer"] = None,
     ) -> None:
         if not workloads:
             raise ValueError("need at least one process")
         self.config = config if config is not None else SimConfig()
         self.num_disks = num_disks
+        self.observer = observer
         self.allocator = allocator if allocator is not None else StaticAllocator()
         shares = self.allocator.initial_shares(
             self.config.cache_blocks, len(workloads)
@@ -160,7 +167,7 @@ class MultiProcessSimulator:
             Simulator(
                 trace, policy, num_disks,
                 self.config.with_(cache_blocks=share, placement_seed=seed + pid),
-                _machine=self._machine,
+                observer=observer, _machine=self._machine,
             )
             for pid, ((trace, policy), share)
             in enumerate(zip(workloads, shares))
@@ -174,6 +181,7 @@ class MultiProcessSimulator:
             else (period, lambda: allocator.rebalance(self))
         )
         makespan = max(p.elapsed for p in self.processes)
-        return ProcessResult(
-            [p._build_result(makespan) for p in self.processes]
-        )
+        results = [p._build_result(makespan) for p in self.processes]
+        if self.observer is not None:
+            self.observer.finish(results)
+        return ProcessResult(results)

@@ -32,7 +32,6 @@ import os
 from array import array
 from typing import (
     Any,
-    Callable,
     Container,
     Dict,
     Iterator,
@@ -40,7 +39,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -267,10 +265,6 @@ class EvictionHeap:
             heapq.heappush(self._heap, entry)
         return victim
 
-    def remove_is_lazy(self) -> bool:
-        """Removals are lazy: evicted blocks are filtered on pop."""
-        return True
-
 
 class ScanSupport:
     """Vectorized missing-block candidate probes over the reference stream.
@@ -360,68 +354,3 @@ class ScanSupport:
         step = self.ITER_SLICE
         for i in range(0, len(missing), step):
             yield from (missing[i : i + step] + start).tolist()
-
-
-def first_missing_positions(
-    blocks: Sequence[int],
-    cursor: int,
-    is_present: Callable[[int], bool],
-    limit: int,
-    max_count: Optional[int] = None,
-) -> Iterator[int]:
-    """Yield positions >= cursor whose block is missing (not present).
-
-    Scans at most ``limit`` references ahead; duplicate blocks are reported
-    only at their first missing occurrence *within one call* (the ``seen``
-    set is per-call, so a block suppressed here is reported again by the
-    next call).  ``is_present(block)`` must return True for blocks that are
-    resident or already being fetched.
-    """
-    seen: Set[int] = set()
-    end = min(len(blocks), cursor + limit)
-    found = 0
-    for position in range(cursor, end):
-        block = blocks[position]
-        if block in seen or is_present(block):
-            continue
-        seen.add(block)
-        yield position
-        found += 1
-        if max_count is not None and found >= max_count:
-            return
-
-
-def first_missing_positions_batched(
-    blocks: Sequence[int],
-    cursor: int,
-    is_present: Callable[[int], bool],
-    limit: int,
-    max_count: Optional[int] = None,
-    scan: Optional[ScanSupport] = None,
-) -> List[int]:
-    """Batched twin of :func:`first_missing_positions`.
-
-    One call resolves the whole lookahead window and returns the positions
-    as a list.  With ``scan`` support the candidates come from a single
-    vectorized mask probe; each candidate is still re-validated through
-    ``is_present`` and the per-call duplicate suppression, so the result
-    matches the reference generator exactly.  ``scan`` may only be passed
-    when ``is_present`` agrees with the scan's present mask (i.e. cache
-    membership): a mask hit must imply ``is_present(block)``.
-    """
-    if scan is None:
-        return list(
-            first_missing_positions(blocks, cursor, is_present, limit, max_count)
-        )
-    seen: Set[int] = set()
-    end = min(len(blocks), cursor + limit)
-    out: List[int] = []
-    for position in scan.missing_candidates(cursor, end):
-        block = blocks[position]
-        if block in seen or is_present(block):
-            continue
-        seen.add(block)
-        out.append(position)
-        if max_count is not None and len(out) >= max_count:
-            break
-    return out

@@ -2,15 +2,19 @@
 
 The paper's tables aggregate each run to six numbers; understanding *why*
 a configuration stalls needs the time axis back.  With
-``SimConfig(record_timeline=True)`` the engine records every fetch issue,
-completion, eviction, and stall episode, and this module summarizes them:
-stall-episode distributions, per-disk busy/idle structure, and fetch
-lead times (how long each fetch took from issue to completion, queueing
-included).
+``SimConfig(record_timeline=True)`` the engine sends its events to a
+:class:`Timeline`, which keeps every fetch issue, completion, eviction by a
+fetch, stall episode and fault as a compact ``(time, kind, block, disk)``
+tuple, and this module summarizes them: stall-episode distributions,
+per-disk busy/idle structure, and fetch lead times (how long each fetch
+took from issue to completion, queueing included).
 """
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro.core import events as ev
+from repro.core.events import StallEpisode
 
 FETCH_ISSUED = "fetch"
 FETCH_DONE = "done"
@@ -22,18 +26,17 @@ FAULT_INJECTED = "fault"  # a request failed (transient error or dead disk)
 FETCH_RETRY = "retry"  # a failed demand fetch was resubmitted after backoff
 FAILOVER = "failover"  # a read was rerouted to the mirror twin of a dead disk
 
-
-@dataclass
-class StallEpisode:
-    """One contiguous wait for a block."""
-
-    start_ms: float
-    end_ms: float
-    block: int
-
-    @property
-    def duration_ms(self) -> float:
-        return self.end_ms - self.start_ms
+#: Engine event kind -> the tuple kind a Timeline records for it.  An
+#: eviction is recorded only when a fetch took the buffer.
+_TUPLE_KINDS = {
+    ev.FETCH_ISSUE: FETCH_ISSUED,
+    ev.FETCH_DONE: FETCH_DONE,
+    ev.STALL_BEGIN: STALL_START,
+    ev.STALL_END: STALL_END,
+    ev.FAULT: FAULT_INJECTED,
+    ev.FETCH_RETRY: FETCH_RETRY,
+    ev.FETCH_FAILOVER: FAILOVER,
+}
 
 
 @dataclass
@@ -54,6 +57,17 @@ class Timeline:
     def record(self, time: float, kind: str, block: int, disk: int = -1) -> None:
         self.events.append((time, kind, block, disk))
         self._sorted_view = None
+
+    def emit(self, event: ev.Event) -> None:
+        """The engine's sink: record the events this timeline keeps."""
+        kind = event.kind
+        if kind == ev.EVICT:
+            if event.cause == "fetch":
+                self.record(event.t_ms, EVICTION, event.block)
+            return
+        name = _TUPLE_KINDS.get(kind)
+        if name is not None:
+            self.record(event.t_ms, name, event.block, event.disk)
 
     def sorted_events(self) -> List[Tuple[float, str, int, int]]:
         """The events in time order, computed once per batch of records

@@ -129,11 +129,8 @@ class DiskArray:
     ``repro.core.multiprocess``): :meth:`submit` stamps each request with
     its ``owner`` process, and the engine routes the completion back to it.
 
-    ``repro.obs`` instruments the request lifecycle by shadowing
-    :meth:`submit` and :meth:`start_next` on the *instance* (queue-depth
-    samples, busy spans).  The shadows call through to these methods, so
-    the sets stay exact under observation; changing those signatures means
-    updating ``repro.obs.observer`` in the same commit.
+    The engine reports the request lifecycle (queue-depth samples, busy
+    spans) as events of its own; nothing instruments the array.
     """
 
     def __init__(

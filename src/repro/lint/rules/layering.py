@@ -12,9 +12,9 @@ relative imports and aliases are handled.  Two escape hatches exist:
 
 * ``if TYPE_CHECKING:`` imports are always allowed (they vanish at
   runtime);
-* the explicit lazy-import allowlist below — currently only
-  ``repro.core.engine`` → ``repro.perf``, the profiler hook that is
-  imported inside a function and only when profiling is requested.
+* the explicit lazy-import allowlist below — currently empty: the engine
+  reports through event sinks and the profiler samples it from outside,
+  so no core module imports an orchestration layer even lazily.
 
 SL016 extends the same purity line to *output*: the hot core must not
 log or print.  Structured logging lives in ``repro.obs.logging`` and is
@@ -48,14 +48,9 @@ _FORBIDDEN = (
 )
 
 #: (importing module, forbidden layer) pairs allowed as *function-local*
-#: lazy imports.  Keep this list painfully short and document every entry
-#: in docs/LINTING.md.
-_LAZY_ALLOWLIST: Set[Tuple[str, str]] = {
-    # The engine's opt-in profiling wrapper: imported inside
-    # Simulator.run() only when profile=True, so unprofiled simulations
-    # never touch repro.perf.
-    ("repro.core.engine", "repro.perf"),
-}
+#: lazy imports.  Keep this list painfully short (it is empty) and
+#: document every entry in docs/LINTING.md.
+_LAZY_ALLOWLIST: Set[Tuple[str, str]] = set()
 
 _CORE_LAYERS = ("repro.core", "repro.disk")
 

@@ -2,25 +2,26 @@
 
 Three layers, all strictly read-only with respect to simulation state:
 
-* **event tracing** — an :class:`Observer` attached to a
-  :class:`~repro.core.engine.Simulator` records typed events (references,
-  fetch lifecycle, evictions with victim distance, disk busy spans, stall
-  episodes, fault handling) keyed on *simulated* time;
+* **event tracing** — an :class:`Observer` given to a
+  :class:`~repro.core.engine.Simulator` (or a
+  :class:`~repro.core.multiprocess.MultiProcessSimulator`) is a sink of the
+  typed events the engine emits (references, fetch lifecycle, evictions
+  with victim distance, disk busy spans, stall episodes, fault handling),
+  keyed on *simulated* time and stamped with their process id;
 * **metrics** — a :class:`MetricsRegistry` of counters, gauges, and
   fixed-bucket histograms (queue depth, fetch latency, victim forward
   distance, cache occupancy, per-disk utilization) aggregated per run;
 * **stall attribution** — every stall quantum is charged to exactly one
-  cause (:data:`~repro.obs.events.STALL_CAUSES`), and the per-cause totals
-  sum back to ``SimulationResult.stall_ms`` to within float noise.
+  cause (:data:`~repro.core.events.STALL_CAUSES`), named by the engine
+  where it decides to stall, and each process's per-cause totals sum back
+  to its ``SimulationResult.stall_ms`` to within float noise.
 
-An unobserved simulator carries **zero** tracing calls: the hooks are
-installed by instance-attribute shadowing (the same pattern as
-``Simulator._instrument``), so the class methods stay untouched and the
-default hot path has no flag checks, no indirection, and bit-identical
-results.  See ``docs/OBSERVABILITY.md``.
+A simulator without an observer or a timeline has no sink, and builds no
+events: every emission site in the engine sits behind one ``sink is None``
+test.  See ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.events import Event, STALL_CAUSES
+from repro.core.events import STALL_CAUSES, Event, StallEpisode
 from repro.obs.export import (
     chrome_trace,
     iter_jsonl_rows,
@@ -35,7 +36,7 @@ from repro.obs.logging import (
     set_correlation_id,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.observer import Observer, StallRecord
+from repro.obs.observer import Observer
 from repro.obs.prom import labeled, render_prometheus, validate_exposition
 from repro.obs.report import render_report
 from repro.obs.svc import (
@@ -57,7 +58,7 @@ __all__ = [
     "STALL_CAUSES",
     "ServiceSpan",
     "ServiceTracer",
-    "StallRecord",
+    "StallEpisode",
     "chrome_trace",
     "configure_logging",
     "get_correlation_id",

@@ -1,11 +1,12 @@
 """Exporters: Chrome ``trace_event`` JSON (Perfetto) and JSONL streams.
 
 The Chrome export opens directly in https://ui.perfetto.dev (or
-``chrome://tracing``): one track per disk carrying its busy spans, an
-application track carrying stall episodes, and counter tracks for cache
-occupancy and per-disk queue depth.  Timestamps convert simulated
-milliseconds to the format's microseconds; the *exact* millisecond values
-ride along in ``args`` so re-parsers never depend on the unit conversion.
+``chrome://tracing``): one track per disk carrying its busy spans, one
+application track per simulated process carrying its stall episodes, and
+counter tracks for cache occupancy and per-disk queue depth.  Timestamps
+convert simulated milliseconds to the format's microseconds; the *exact*
+millisecond values ride along in ``args`` so re-parsers never depend on
+the unit conversion.
 
 This module is the one place in ``repro.obs`` allowed to read the host
 wall clock (simlint SL002 allowlist): with ``stamp=True`` the export
@@ -19,12 +20,13 @@ import json
 import time
 from typing import IO, Dict, Iterator, List
 
-from repro.obs import events as ev
+from repro.core import events as ev
 from repro.obs.observer import Observer
 
-#: Single simulated process in the trace.
+#: The simulated machine's process id in the trace.
 PID = 1
-#: Thread id of the application track; disk ``d`` uses ``d + 1``.
+#: Thread id of the (first) application track; disk ``d`` uses ``d + 1``
+#: and simulated process ``p > 0`` uses ``disks + p``.
 TID_APP = 0
 
 #: Kinds exported as thread-scoped instants by default (fault handling is
@@ -54,8 +56,14 @@ _FULL_INSTANT_KINDS = frozenset(
 )
 
 
-def _tid(event: ev.Event) -> int:
-    return event.disk + 1 if event.disk >= 0 else TID_APP
+def _app_tid(pid: int, num_disks: int) -> int:
+    return TID_APP if pid == 0 else num_disks + pid
+
+
+def _tid(event: ev.Event, num_disks: int) -> int:
+    if event.disk >= 0:
+        return event.disk + 1
+    return _app_tid(event.pid, num_disks)
 
 
 def chrome_trace(
@@ -68,12 +76,14 @@ def chrome_trace(
     handling.  ``stamp`` adds a host-clock capture time to the metadata.
     """
     rows: List[Dict[str, object]] = []
+    disks = observer.num_disks
+    several = len(observer.process_names) > 1
     for event in observer.events:
         kind = event.kind
         if kind == ev.DISK_BUSY:
             rows.append(
                 {
-                    "ph": "X", "pid": PID, "tid": _tid(event),
+                    "ph": "X", "pid": PID, "tid": _tid(event, disks),
                     "ts": event.t_ms * 1000.0, "dur": event.dur_ms * 1000.0,
                     "name": event.cause or "io", "cat": kind,
                     "args": {
@@ -88,7 +98,7 @@ def chrome_trace(
             start_ms = event.t_ms - event.dur_ms
             rows.append(
                 {
-                    "ph": "X", "pid": PID, "tid": TID_APP,
+                    "ph": "X", "pid": PID, "tid": _app_tid(event.pid, disks),
                     "ts": start_ms * 1000.0, "dur": event.dur_ms * 1000.0,
                     "name": event.cause or "stall", "cat": "stall",
                     "args": {
@@ -102,15 +112,17 @@ def chrome_trace(
         elif kind == ev.CACHE_OCCUPANCY:
             rows.append(
                 {
-                    "ph": "C", "pid": PID, "tid": TID_APP,
-                    "ts": event.t_ms * 1000.0, "name": "cache occupancy",
+                    "ph": "C", "pid": PID, "tid": _app_tid(event.pid, disks),
+                    "ts": event.t_ms * 1000.0,
+                    "name": f"cache occupancy p{event.pid}" if several
+                    else "cache occupancy",
                     "args": {"buffers": event.value},
                 }
             )
         elif kind == ev.QUEUE_DEPTH:
             rows.append(
                 {
-                    "ph": "C", "pid": PID, "tid": _tid(event),
+                    "ph": "C", "pid": PID, "tid": _tid(event, disks),
                     "ts": event.t_ms * 1000.0,
                     "name": f"queue depth d{event.disk}",
                     "args": {"requests": event.value},
@@ -124,7 +136,7 @@ def chrome_trace(
                 args["value"] = event.value
             rows.append(
                 {
-                    "ph": "i", "pid": PID, "tid": _tid(event),
+                    "ph": "i", "pid": PID, "tid": _tid(event, disks),
                     "ts": event.t_ms * 1000.0, "s": "t",
                     "name": kind, "cat": kind, "args": args,
                 }
@@ -146,11 +158,18 @@ def chrome_trace(
                 f"{observer.policy_name} d{observer.num_disks}"
             },
         },
-        {
-            "ph": "M", "pid": PID, "tid": TID_APP, "name": "thread_name",
-            "args": {"name": "application"},
-        },
     ]
+    for pid, name in enumerate(observer.process_names):
+        metadata.append(
+            {
+                "ph": "M", "pid": PID, "tid": _app_tid(pid, disks),
+                "name": "thread_name",
+                "args": {
+                    "name": f"application p{pid} {name}" if several
+                    else "application"
+                },
+            }
+        )
     for disk in range(observer.num_disks):
         metadata.append(
             {

@@ -15,7 +15,7 @@ from repro.analysis.tables import (
     format_table,
     format_utilization_table,
 )
-from repro.obs import events as ev
+from repro.core import events as ev
 from repro.obs.metrics import Histogram
 from repro.obs.observer import Observer
 

@@ -1,19 +1,19 @@
-"""Lightweight phase instrumentation for the simulator hot path.
+"""Phase profiling for the simulator hot path.
 
 The simulator spends its time in four places: consulting the policy,
-modelling disk service, cache bookkeeping, and dispatching events.  This
-module attributes wall-clock *self time* to those phases with a plain
-start/stop stack — entering a nested phase pauses its parent, so the
-reported numbers sum to the bracketed total without double counting.
+modelling disk service, cache bookkeeping, and dispatching events.
+:class:`PhaseProfiler` attributes a run's time to those phases by sampling
+the interpreter's stack on a CPU-time timer: a sample belongs to the
+innermost frame of a policy hook, ``issue_fetch`` or ``_start_disks``,
+else to dispatch.
 
-Profiling is strictly opt-in: a :class:`~repro.core.engine.Simulator`
-constructed without a profiler carries **zero** timing calls on its hot
-path, and an attached profiler never changes simulation behaviour — a
-profiled run produces a bit-identical :class:`SimulationResult`
-(``tests/test_perf.py`` pins this).
+Profiling is strictly opt-in and happens entirely outside the engine:
+wrap ``sim.run()`` in the profiler.  A profiled run executes the same code
+as an unprofiled one and produces a bit-identical
+:class:`SimulationResult` (``tests/test_perf.py`` pins this); the profiler
+reports its sample count and its own overhead.
 """
 
-from repro.perf.profiler import PHASES, PhaseProfiler
-from repro.perf.wrappers import ProfiledPolicy
+from repro.perf.profiler import PHASES, PhaseProfiler, phase_of
 
-__all__ = ["PHASES", "PhaseProfiler", "ProfiledPolicy"]
+__all__ = ["PHASES", "PhaseProfiler", "phase_of"]

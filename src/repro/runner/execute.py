@@ -15,6 +15,7 @@ therefore directly comparable to the golden values.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -172,9 +173,10 @@ def _run_simulation(
     kwargs.update(policy_kwargs)
     sim = Simulator(
         trace, make_policy(cell.policy, **kwargs), cell.disks, config,
-        profiler=profiler, observer=observer,
+        observer=observer,
     )
-    result = sim.run()
+    with profiler if profiler is not None else contextlib.nullcontext():
+        result = sim.run()
     timeline = sim.timeline.events if config.record_timeline else None
     return result, result_digest(result, timeline)
 

@@ -2,8 +2,8 @@
 
 The rewrite's safety argument has two legs: the 14 golden digests (end to
 end) and these direct structural checks — the successor-array index, both
-of its construction paths, and the batched missing-block scans must agree
-with the retained pure-Python reference implementations on hundreds of
+of its construction paths, and the vectorized missing-block probe must
+agree with the retained pure-Python reference implementations on hundreds of
 random traces, including the backwards-cursor queries the old index
 answered wrongly.
 """
@@ -18,8 +18,6 @@ from repro.core.nextref import (
     NextRefIndex,
     ReferenceNextRefIndex,
     ScanSupport,
-    first_missing_positions,
-    first_missing_positions_batched,
 )
 
 #: (trace count, max length, max distinct blocks) per shape family.
@@ -97,35 +95,6 @@ class TestConstructionPathsAgree:
 
 
 class TestBatchedScanAgreesWithGenerator:
-    def test_random_present_sets(self):
-        for seed, blocks in random_traces():
-            rng = random.Random(20_000 + seed)
-            present = {b for b in set(blocks) if rng.random() < 0.4}
-            is_present = lambda b: b in present
-            scan = ScanSupport.build(blocks)
-            if scan is not None:
-                for block in sorted(present):
-                    if 0 <= block < len(scan.mask):
-                        scan.mask[block] = 1
-            for _ in range(6):
-                cursor = rng.randrange(len(blocks) + 2)
-                limit = rng.choice([0, 1, 3, 10, len(blocks) + 5])
-                max_count = rng.choice([None, 0, 1, 2, 10])
-                expected = list(
-                    first_missing_positions(
-                        blocks, cursor, is_present, limit, max_count
-                    )
-                )
-                plain = first_missing_positions_batched(
-                    blocks, cursor, is_present, limit, max_count
-                )
-                assert plain == expected, (seed, cursor, limit, max_count)
-                if scan is not None:
-                    probed = first_missing_positions_batched(
-                        blocks, cursor, is_present, limit, max_count, scan=scan
-                    )
-                    assert probed == expected, (seed, cursor, limit, max_count)
-
     @pytest.mark.skipif(not HAVE_NUMPY, reason="ScanSupport needs numpy")
     def test_missing_candidates_matches_naive_probe(self):
         for seed, blocks in random_traces():

@@ -93,7 +93,7 @@ class TestObservability:
         import json
 
         payload = json.loads(out_path.read_text())
-        assert set(payload) == {"phases", "total_ms"}
+        assert set(payload) == {"phases", "total_ms", "samples", "overhead_ms"}
 
 
 class TestReport:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.lint import Baseline, Finding, lint_paths, lint_source
 from repro.lint.engine import render_json, render_text
-from repro.lint.rules import all_rules
+from repro.lint.rules import all_rules, layering
 from repro.lint.sarif import render_sarif, sarif_dict
 
 
@@ -1246,18 +1246,33 @@ class TestImportLayering:
         """
         assert rules_hit(src) == set()
 
-    def test_allowlisted_lazy_import_clean(self):
-        # (repro.core.engine, repro.perf) is on the lazy-import
-        # allowlist: the profiler is optional instrumentation.
+    def test_allowlisted_lazy_import_clean(self, monkeypatch):
+        # The allowlist is empty; an entry still exempts exactly its pair.
+        monkeypatch.setattr(
+            layering, "_LAZY_ALLOWLIST", {("repro.core.engine", "repro.svc")}
+        )
         src = """
-        def run(profile=None):
-            if profile:
-                from repro.perf import PhaseProfiler
+        def run():
+            from repro.svc.service import SimulationService
 
-                return PhaseProfiler()
-            return None
+            return SimulationService
         """
         assert rules_hit(src, module="repro.core.engine") == set()
+        assert rules_hit(src, module="repro.core.forestall") == {"SL015"}
+
+    @pytest.mark.parametrize("layer", ["repro.perf", "repro.obs"])
+    def test_lazy_perf_or_obs_import_in_core_flagged(self, layer):
+        src = f"""
+        def run(profile=None):
+            if profile:
+                import {layer}
+
+                return {layer}
+            return None
+        """
+        findings = findings_for(src, module="repro.core.engine")
+        assert {f.rule for f in findings} == {"SL015"}
+        assert "allowlist" in findings[0].message
 
     def test_non_allowlisted_lazy_import_flagged(self):
         src = """

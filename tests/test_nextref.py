@@ -1,12 +1,8 @@
 """Next-reference index and the furthest-future eviction heap."""
 
-import pytest
-
 from repro.core.nextref import (
     EvictionHeap,
     NextRefIndex,
-    first_missing_positions,
-    first_missing_positions_batched,
 )
 
 
@@ -117,142 +113,6 @@ class TestEvictionHeap:
     def test_empty_heap_returns_none(self):
         _, _, heap = self._setup([1], resident=[])
         assert heap.best_victim(0) is None
-
-
-class TestFirstMissingPositions:
-    def test_yields_missing_in_order(self):
-        blocks = [1, 2, 3, 2, 4]
-        present = {2}
-        got = list(
-            first_missing_positions(blocks, 0, lambda b: b in present, limit=10)
-        )
-        assert got == [0, 2, 4]
-
-    def test_deduplicates_blocks(self):
-        blocks = [7, 7, 7]
-        got = list(first_missing_positions(blocks, 0, lambda b: False, limit=10))
-        assert got == [0]
-
-    def test_respects_limit(self):
-        blocks = list(range(100))
-        got = list(first_missing_positions(blocks, 0, lambda b: False, limit=5))
-        assert got == [0, 1, 2, 3, 4]
-
-    def test_max_count(self):
-        blocks = list(range(100))
-        got = list(
-            first_missing_positions(
-                blocks, 0, lambda b: False, limit=100, max_count=3
-            )
-        )
-        assert len(got) == 3
-
-    def test_starts_at_cursor(self):
-        blocks = [1, 2, 3]
-        got = list(first_missing_positions(blocks, 1, lambda b: False, limit=10))
-        assert got == [1, 2]
-
-    # -- boundary audit: the batched scan must match these exactly ---------
-
-    def test_cursor_at_end_yields_nothing(self):
-        blocks = [1, 2, 3]
-        got = list(
-            first_missing_positions(blocks, len(blocks), lambda b: False, limit=10)
-        )
-        assert got == []
-
-    def test_cursor_past_end_yields_nothing(self):
-        blocks = [1, 2, 3]
-        got = list(
-            first_missing_positions(blocks, 99, lambda b: False, limit=10)
-        )
-        assert got == []
-
-    def test_limit_zero_yields_nothing(self):
-        got = list(first_missing_positions([1, 2], 0, lambda b: False, limit=0))
-        assert got == []
-
-    def test_limit_caps_window_not_count(self):
-        # limit bounds how far ahead the scan looks (cursor + limit), while
-        # max_count bounds how many positions are reported within it.
-        blocks = [1, 1, 2, 3, 4]
-        got = list(first_missing_positions(blocks, 0, lambda b: False, limit=3))
-        assert got == [0, 2]  # position 1 is a duplicate, 3 is past limit
-
-    def test_max_count_stops_before_limit_exhausted(self):
-        blocks = [1, 2, 3, 4]
-        got = list(
-            first_missing_positions(
-                blocks, 0, lambda b: False, limit=10, max_count=2
-            )
-        )
-        assert got == [0, 1]
-
-    def test_max_count_zero_behaves_like_unbounded(self):
-        # max_count=0 can never satisfy found >= max_count after a yield,
-        # so the first missing position is still reported.  Pinned: the
-        # check happens after yielding, not before.
-        blocks = [1, 2]
-        got = list(
-            first_missing_positions(
-                blocks, 0, lambda b: False, limit=10, max_count=0
-            )
-        )
-        assert got == [0]
-
-    def test_duplicate_suppression_is_per_call(self):
-        # The seen-set resets each call: a block suppressed as a duplicate
-        # in one call is reported again by the next call.
-        blocks = [7, 7, 7]
-        first = list(first_missing_positions(blocks, 0, lambda b: False, limit=10))
-        assert first == [0]
-        second = list(first_missing_positions(blocks, 1, lambda b: False, limit=10))
-        assert second == [1]
-
-    def test_present_blocks_filtered_not_deduplicated(self):
-        # A present block is skipped without entering the seen set, so a
-        # later occurrence is re-tested (and still skipped while present).
-        blocks = [5, 6, 5]
-        got = list(
-            first_missing_positions(blocks, 0, lambda b: b == 5, limit=10)
-        )
-        assert got == [1]
-
-    def test_limit_window_clamps_to_length(self):
-        blocks = [1, 2]
-        got = list(first_missing_positions(blocks, 1, lambda b: False, limit=999))
-        assert got == [1]
-
-
-class TestFirstMissingPositionsBatched:
-    """The batched variant must agree with the generator on every case."""
-
-    CASES = [
-        ([], 0, 10, None),
-        ([1, 2, 3], 0, 10, None),
-        ([1, 2, 3], 3, 10, None),
-        ([1, 2, 3], 99, 10, None),
-        ([1, 1, 2, 3, 4], 0, 3, None),
-        ([7, 7, 7], 0, 10, None),
-        ([7, 7, 7], 1, 10, None),
-        ([1, 2, 3, 4], 0, 10, 2),
-        ([1, 2], 0, 10, 0),
-        ([5, 6, 5], 0, 10, None),
-        ([1, 2], 1, 999, None),
-        ([1, 2], 0, 0, None),
-    ]
-
-    def test_matches_reference_generator(self):
-        for blocks, cursor, limit, max_count in self.CASES:
-            present = {2, 5}
-            is_present = lambda b: b in present
-            expected = list(
-                first_missing_positions(blocks, cursor, is_present, limit, max_count)
-            )
-            got = first_missing_positions_batched(
-                blocks, cursor, is_present, limit, max_count
-            )
-            assert got == expected, (blocks, cursor, limit, max_count)
 
 
 class TestMonotoneCursorRegression:

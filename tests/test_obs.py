@@ -4,8 +4,9 @@ Four guarantees under test:
 
 1. **Read-only** — every golden-digest cell produces a bit-identical
    result with an :class:`~repro.obs.Observer` attached.
-2. **Zero overhead when off** — an unobserved simulator carries no
-   instance-level shadows of the instrumented methods.
+2. **One seam** — the observer is a sink of the engine's events: an
+   unobserved simulator has no sink, and no simulator, array or policy
+   method is ever shadowed on the instance.
 3. **Exact stall attribution** — per-cause stall times sum back to
    ``stall_ms`` with residual below ``1e-6`` ms (relative) on every
    policy × trace × discipline cell, healthy or faulted.
@@ -18,12 +19,16 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.analysis.experiments import ExperimentSetting, run_one
 from repro.analysis.tables import format_stall_table, format_utilization_table
-from repro.core import SimConfig, Simulator, make_policy
+from repro.core import MultiProcessSimulator, SimConfig, Simulator, make_policy
 from repro.faults import DiskFailure, FaultSchedule
+from repro.runner.execute import result_digest
+from repro.trace import Trace
 from repro.obs import (
     Observer,
     STALL_CAUSES,
@@ -33,7 +38,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs import events as ev
+from repro.core import events as ev
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, occupancy_buckets
 from repro.trace import build as build_workload, cache_blocks_for
 
@@ -65,9 +70,9 @@ class TestGoldenWithObserver:
         assert run_cell(cell, observer=Observer()) == EXPECTED[cell_id(cell)]
 
 
-# -- guarantee 2: zero overhead when off ------------------------------------------------
+# -- guarantee 2: one seam ----------------------------------------------------------------
 
-#: Methods the observer shadows on the simulator instance.
+#: Methods an earlier observer shadowed on the instances; none may be.
 SHADOWED_SIM = (
     "_app_step", "_wake_app", "_disk_complete", "_fault_complete",
     "_retry_fetch", "_abandon_fetch", "issue_fetch", "write_allocate",
@@ -77,28 +82,44 @@ SHADOWED_ARRAY = ("submit", "start_next")
 SHADOWED_POLICY = ("before_reference", "on_disk_idle", "on_miss", "on_evict")
 
 
+def assert_no_shadows(sim):
+    for name in SHADOWED_SIM:
+        assert name not in sim.__dict__, name
+    for name in SHADOWED_ARRAY:
+        assert name not in sim.array.__dict__, name
+    for name in SHADOWED_POLICY:
+        assert name not in sim.policy.__dict__, name
+
+
 class TestZeroOverhead:
     def test_unobserved_simulator_has_no_shadows(self):
         trace = make_trace([0, 1, 2, 3] * 4)
         sim = Simulator(trace, make_policy("demand"), 1, simple_config())
         sim.run()
-        for name in SHADOWED_SIM:
-            assert name not in sim.__dict__, name
-        for name in SHADOWED_ARRAY:
-            assert name not in sim.array.__dict__, name
-        for name in SHADOWED_POLICY:
-            assert name not in sim.policy.__dict__, name
+        assert sim.sink is None
+        assert_no_shadows(sim)
 
-    def test_observed_simulator_has_all_shadows(self):
+    def test_observed_simulator_emits_to_its_sink(self):
         trace = make_trace([0, 1, 2, 3] * 4)
+        observer = Observer()
         sim = Simulator(trace, make_policy("demand"), 1, simple_config(),
-                        observer=Observer())
-        for name in SHADOWED_SIM:
-            assert name in sim.__dict__, name
-        for name in SHADOWED_ARRAY:
-            assert name in sim.array.__dict__, name
-        for name in SHADOWED_POLICY:
-            assert name in sim.policy.__dict__, name
+                        observer=observer)
+        assert sim.sink is observer
+        sim.run()
+        assert_no_shadows(sim)
+        assert observer.events and all(e.pid == 0 for e in observer.events)
+
+    def test_timeline_and_observer_share_one_stream(self):
+        trace = make_trace([0, 1, 2, 3] * 4)
+        config = simple_config().with_(record_timeline=True)
+        observer = Observer()
+        sim = Simulator(trace, make_policy("demand"), 1, config,
+                        observer=observer)
+        sim.run()
+        assert sim.sink is not observer and sim.sink is not sim.timeline
+        fetches = [e for e in observer.events if e.kind == ev.FETCH_ISSUE]
+        assert [(t, b, d) for t, k, b, d in sim.timeline.events
+                if k == "fetch"] == [(e.t_ms, e.block, e.disk) for e in fetches]
 
     def test_observer_attaches_exactly_once(self):
         observer = Observer()
@@ -113,7 +134,7 @@ class TestZeroOverhead:
 # -- guarantee 3: stall attribution is exact --------------------------------------------
 
 
-def assert_attribution_exact(result, observer):
+def assert_attribution_exact(result, episodes):
     breakdown = result.stall_breakdown
     assert set(breakdown) == set(STALL_CAUSES)
     assert all(ms >= 0.0 for ms in breakdown.values())
@@ -121,7 +142,7 @@ def assert_attribution_exact(result, observer):
     assert residual <= 1e-6 * max(1.0, result.stall_ms)
     # Episode records tell the same story as the per-cause totals.
     by_episode = {cause: 0.0 for cause in STALL_CAUSES}
-    for episode in observer.stall_episodes:
+    for episode in episodes:
         by_episode[episode.cause] += episode.duration_ms
     for cause in STALL_CAUSES:
         assert by_episode[cause] == pytest.approx(breakdown[cause], abs=1e-9)
@@ -135,14 +156,14 @@ class TestStallAttribution:
         result, observer = observed_run(
             trace_name, policy, 2, discipline=discipline
         )
-        assert_attribution_exact(result, observer)
+        assert_attribution_exact(result, observer.stall_episodes)
         # Healthy hardware: the fault buckets stay empty.
         assert result.stall_breakdown[ev.CAUSE_FAULT_RETRY] == 0.0
         assert result.stall_breakdown[ev.CAUSE_FAILOVER] == 0.0
 
     def test_demand_policy_stalls_are_demand_misses(self):
         result, observer = observed_run("ld", "demand", 2)
-        assert_attribution_exact(result, observer)
+        assert_attribution_exact(result, observer.stall_episodes)
         breakdown = result.stall_breakdown
         assert breakdown[ev.CAUSE_DEMAND_MISS] == pytest.approx(
             result.stall_ms, rel=1e-9
@@ -151,7 +172,7 @@ class TestStallAttribution:
 
     def test_prefetchers_stall_on_late_prefetches(self):
         result, observer = observed_run("ld", "forestall", 2)
-        assert_attribution_exact(result, observer)
+        assert_attribution_exact(result, observer.stall_episodes)
         breakdown = result.stall_breakdown
         if result.stall_ms > 0:
             assert breakdown[ev.CAUSE_PREFETCH_TOO_LATE] > 0.0
@@ -159,7 +180,7 @@ class TestStallAttribution:
     def test_transient_errors_attribute_to_fault_retry(self):
         faults = FaultSchedule(read_error_rate=0.05, seed=7)
         result, observer = observed_run("ld", "forestall", 2, faults=faults)
-        assert_attribution_exact(result, observer)
+        assert_attribution_exact(result, observer.stall_episodes)
         assert result.faults_injected > 0
         assert result.stall_breakdown[ev.CAUSE_FAULT_RETRY] > 0.0
 
@@ -168,7 +189,7 @@ class TestStallAttribution:
         result, observer = observed_run(
             "ld", "aggressive", 4, faults=faults, mirrored=True
         )
-        assert_attribution_exact(result, observer)
+        assert_attribution_exact(result, observer.stall_episodes)
         assert result.failover_reads + result.extras.get("failover_writes", 0) > 0
         assert observer.metrics.counter("fetch.failovers").value > 0
 
@@ -190,6 +211,142 @@ class TestStallAttribution:
     def test_unobserved_result_has_empty_breakdown(self):
         result = run_one(ExperimentSetting(scale=0.2), "ld", "demand", 2)
         assert result.stall_breakdown == {}
+
+
+# -- any number of processes ------------------------------------------------------------
+
+
+def two_process_run(observer=None):
+    config = SimConfig(cache_blocks=2 * cache_blocks_for("ld", 0.1))
+    workloads = [
+        (build_workload("ld", scale=0.1), make_policy("forestall")),
+        (build_workload("cscope1", scale=0.1), make_policy("aggressive")),
+    ]
+    return MultiProcessSimulator(workloads, 2, config, observer=observer).run()
+
+
+class TestMultiProcess:
+    def test_observed_results_are_bit_identical(self):
+        plain = two_process_run()
+        observed = two_process_run(Observer())
+        assert [result_digest(r) for r in plain] == [
+            result_digest(r) for r in observed
+        ]
+
+    def test_attribution_is_exact_per_process(self):
+        observer = Observer()
+        outcome = two_process_run(observer)
+        assert observer.results == outcome.results
+        assert {e.pid for e in observer.events} == {0, 1}
+        for pid, result in enumerate(outcome):
+            episodes = [e for e in observer.stall_episodes if e.pid == pid]
+            assert_attribution_exact(result, episodes)
+            assert result.stall_breakdown == observer.stall_breakdown_by_pid[pid]
+        assert observer.stall_residual_ms == pytest.approx(0.0, abs=1e-6)
+        counters = observer.metrics.counters
+        assert counters["app.references"].value == sum(
+            r.references for r in outcome
+        )
+        assert counters["fetch.completed"].value == sum(
+            r.fetches for r in outcome
+        )
+
+    def test_chrome_trace_names_one_application_track_per_process(self):
+        observer = Observer()
+        two_process_run(observer)
+        rows = chrome_trace(observer)["traceEvents"]
+        names = {
+            r["tid"]: r["args"]["name"] for r in rows
+            if r["ph"] == "M" and r["name"] == "thread_name"
+        }
+        assert names == {
+            0: "application p0 ld/forestall",
+            1: "disk 0",
+            2: "disk 1",
+            3: "application p1 cscope1/aggressive",
+        }
+        stall_tids = {r["tid"] for r in rows if r.get("cat") == "stall"}
+        assert stall_tids == {0, 3}
+
+
+FIVE = st.sampled_from(FIVE_POLICIES)
+
+
+@st.composite
+def observed_runs(draw):
+    """One lone process or two sharing a machine, over small traces with
+    optional writes, on 1-4 disks, optionally mirrored, faulted and
+    recording timelines."""
+    processes = draw(st.integers(min_value=1, max_value=2))
+    disks = draw(st.integers(min_value=1, max_value=4))
+    mirrored = disks % 2 == 0 and draw(st.booleans())
+    workloads = []
+    for pid in range(processes):
+        blocks = draw(st.lists(st.integers(0, 15), min_size=1, max_size=50))
+        writes = None
+        if draw(st.booleans()):
+            writes = draw(st.lists(
+                st.booleans(), min_size=len(blocks), max_size=len(blocks)
+            ))
+        trace = Trace(name=f"p{pid}", blocks=blocks,
+                      compute_ms=[1.0] * len(blocks), writes=writes)
+        workloads.append((trace, draw(FIVE)))
+    faults = None
+    if draw(st.booleans()):
+        kill = draw(st.one_of(st.none(), st.floats(0.0, 200.0)))
+        faults = FaultSchedule(
+            seed=draw(st.integers(0, 2**16)),
+            read_error_rate=draw(st.floats(0.0, 0.3)),
+            disk_failures=() if kill is None else (
+                DiskFailure(disk=disks - 1, at_ms=kill),
+            ),
+            max_retries=50,
+        )
+    config = simple_config(
+        cache_blocks=draw(st.integers(2, 8)) * processes,
+        mirrored=mirrored, faults=faults, record_timeline=draw(st.booleans()),
+    )
+    return workloads, disks, config
+
+
+def run_case(workloads, disks, config, observer=None):
+    """Each process's digest, its timeline included when recorded."""
+    if len(workloads) == 1:
+        trace, policy = workloads[0]
+        sims = [Simulator(trace, make_policy(policy), disks, config,
+                          observer=observer)]
+        results = [sims[0].run()]
+    else:
+        multi = MultiProcessSimulator(
+            [(trace, make_policy(policy)) for trace, policy in workloads],
+            disks, config, observer=observer,
+        )
+        sims = multi.processes
+        results = multi.run().results
+    digests = [
+        result_digest(r, s.timeline.events if s.timeline else None)
+        for r, s in zip(results, sims)
+    ]
+    return results, digests
+
+
+class TestObserverProperty:
+    @given(case=observed_runs())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_observer_is_exact_at_any_k(self, case):
+        workloads, disks, config = case
+        _plain, plain_digests = run_case(workloads, disks, config)
+        observer = Observer()
+        observed, digests = run_case(workloads, disks, config, observer)
+        assert digests == plain_digests
+        for pid, result in enumerate(observed):
+            residual = abs(
+                result.stall_ms - math.fsum(result.stall_breakdown.values())
+            )
+            assert residual < 1e-6 * max(1.0, result.stall_ms)
+            episodes = [e for e in observer.stall_episodes if e.pid == pid]
+            assert_attribution_exact(result, episodes)
 
 
 # -- counters and result cross-checks ---------------------------------------------------
@@ -464,7 +621,7 @@ class TestPublicApi:
         )
         assert observer.result is result
         assert result.stall_breakdown
-        assert_attribution_exact(result, observer)
+        assert_attribution_exact(result, observer.stall_episodes)
 
     def test_observer_exported_from_repro_obs(self):
         import repro.obs as obs
@@ -472,7 +629,7 @@ class TestPublicApi:
         for name in (
             "Observer", "MetricsRegistry", "Event", "STALL_CAUSES",
             "chrome_trace", "write_chrome_trace", "write_jsonl",
-            "iter_jsonl_rows", "render_report", "StallRecord",
+            "iter_jsonl_rows", "render_report", "StallEpisode",
         ):
             assert hasattr(obs, name), name
 

@@ -1,12 +1,15 @@
-"""The phase profiler: self-time accounting and behavioural transparency."""
+"""The phase profiler: stack-sampled phase attribution and behavioural
+transparency."""
 
 import dataclasses
+import signal
+import sys
 
 import pytest
 
 from repro.cli import main
 from repro.core import SimConfig, Simulator, make_policy
-from repro.perf import PHASES, PhaseProfiler, ProfiledPolicy
+from repro.perf import PHASES, PhaseProfiler, phase_of
 from repro.trace import build as build_workload
 from repro.trace import cache_blocks_for
 
@@ -24,96 +27,106 @@ class FakeClock:
         return self.now
 
 
+# Stand-ins named like the frames that open each phase: a sample belongs to
+# the innermost such frame on the stack.
+
+
+def before_reference(then=None):
+    return then() if then else sys._getframe()
+
+
+def issue_fetch(then=None):
+    return then() if then else sys._getframe()
+
+
+def _start_disks(then=None):
+    return then() if then else sys._getframe()
+
+
+def on_evict(then=None):
+    return then() if then else sys._getframe()
+
+
 class TestPhaseProfiler:
     def test_flat_phase_accumulates(self):
-        clock = FakeClock()
-        profiler = PhaseProfiler(clock=clock)
-        profiler.start("disk")
-        clock.advance(5_000_000)
-        profiler.stop()
-        profiler.start("disk")
-        clock.advance(3_000_000)
-        profiler.stop()
-        assert profiler.ms("disk") == pytest.approx(8.0)
-        assert profiler.counts["disk"] == 2
+        profiler = PhaseProfiler(clock=FakeClock())
+        profiler.sample(_start_disks())
+        profiler.sample(_start_disks())
+        assert profiler.samples == {"disk": 2}
+        assert profiler.sample_count == 2
 
     def test_nested_phase_charges_self_time_only(self):
-        # dispatch runs 10ms total, but 6ms of it is inside a nested
-        # policy bracket: self times must partition, not double count.
-        clock = FakeClock()
-        profiler = PhaseProfiler(clock=clock)
-        profiler.start("dispatch")
-        clock.advance(1_000_000)
-        profiler.start("policy")
-        clock.advance(6_000_000)
-        profiler.stop()
-        clock.advance(3_000_000)
-        profiler.stop()
-        assert profiler.ms("dispatch") == pytest.approx(4.0)
-        assert profiler.ms("policy") == pytest.approx(6.0)
-        assert profiler.total_ms == pytest.approx(10.0)
+        # A policy hook that issues a fetch: samples inside issue_fetch go
+        # to cache, samples in the hook around it to policy, never both.
+        profiler = PhaseProfiler(clock=FakeClock())
+        profiler.sample(before_reference(lambda: issue_fetch()))
+        profiler.sample(before_reference())
+        profiler.sample(sys._getframe())
+        assert profiler.samples == {"cache": 1, "policy": 1, "dispatch": 1}
 
     def test_deep_nesting_resumes_each_parent(self):
-        clock = FakeClock()
-        profiler = PhaseProfiler(clock=clock)
-        profiler.start("dispatch")
-        clock.advance(1_000_000)
-        profiler.start("cache")
-        clock.advance(2_000_000)
-        profiler.start("policy")
-        clock.advance(4_000_000)
-        profiler.stop()
-        clock.advance(8_000_000)
-        profiler.stop()
-        clock.advance(16_000_000)
-        profiler.stop()
-        assert profiler.ms("dispatch") == pytest.approx(17.0)
-        assert profiler.ms("cache") == pytest.approx(10.0)
-        assert profiler.ms("policy") == pytest.approx(4.0)
+        # dispatch -> cache -> policy (on_evict inside issue_fetch inside a
+        # hook): each level's own samples land on that level.
+        profiler = PhaseProfiler(clock=FakeClock())
+
+        def hook():
+            profiler.sample(sys._getframe())  # policy
+            issue_fetch(lambda: (
+                profiler.sample(sys._getframe()),  # cache
+                on_evict(lambda: profiler.sample(sys._getframe())),  # policy
+                profiler.sample(sys._getframe()),  # cache again
+            ))
+            profiler.sample(sys._getframe())  # policy again
+
+        before_reference(hook)
+        profiler.sample(sys._getframe())  # dispatch
+        assert profiler.samples == {"policy": 3, "cache": 2, "dispatch": 1}
 
     def test_zero_duration_phases_report_cleanly(self):
         profiler = PhaseProfiler(clock=FakeClock())
-        profiler.start("policy")
-        profiler.stop()
         summary = profiler.to_dict()
         assert summary["total_ms"] == 0.0
-        assert summary["phases"]["policy"]["share"] == 0.0
-        assert "policy" in profiler.report()
+        assert summary["samples"] == 0
+        assert all(entry["share"] == 0.0 for entry in summary["phases"].values())
+        report = profiler.report()
+        for phase in PHASES:
+            assert phase in report
 
     def test_to_dict_shares_sum_to_one(self):
-        clock = FakeClock()
-        profiler = PhaseProfiler(clock=clock)
-        for phase, ns in (("policy", 2), ("disk", 3), ("dispatch", 5)):
-            profiler.start(phase)
-            clock.advance(ns * 1_000_000)
-            profiler.stop()
+        profiler = PhaseProfiler(clock=FakeClock())
+        for frame, count in ((before_reference(), 2), (_start_disks(), 3),
+                             (sys._getframe(), 5)):
+            for _ in range(count):
+                profiler.sample(frame)
+        profiler.wall_ns = 10_000_000
         summary = profiler.to_dict()
         shares = [entry["share"] for entry in summary["phases"].values()]
         assert sum(shares) == pytest.approx(1.0, abs=1e-3)
-        # Phases are reported hottest-first (self time descending).
-        assert list(summary["phases"]) == ["dispatch", "disk", "policy"]
+        assert summary["phases"]["dispatch"]["ms"] == pytest.approx(5.0)
+        # Phases are reported hottest-first (samples descending).
+        assert list(summary["phases"]) == ["dispatch", "disk", "policy", "cache"]
 
     def test_reset_clears_everything(self):
-        clock = FakeClock()
-        profiler = PhaseProfiler(clock=clock)
-        profiler.start("disk")
-        clock.advance(1_000_000)
-        profiler.stop()
+        profiler = PhaseProfiler(clock=FakeClock())
+        profiler.sample(_start_disks())
+        profiler.wall_ns = 1_000_000
         profiler.reset()
         assert profiler.total_ms == 0.0
-        assert profiler.counts == {}
+        assert profiler.samples == {}
 
     def test_phase_vocabulary_is_stable(self):
         assert PHASES == ("policy", "disk", "cache", "dispatch")
+        assert phase_of(None) == "dispatch"
 
 
-def _run(trace_name, policy, disks, profiler=None):
-    trace = build_workload(trace_name, scale=0.2)
-    config = SimConfig(cache_blocks=cache_blocks_for(trace_name, 0.2))
-    sim = Simulator(
-        trace, make_policy(policy), disks, config, profiler=profiler
-    )
-    return sim.run()
+def _run(trace_name, policy, disks, profiler=None, scale=0.2):
+    trace = build_workload(trace_name, scale=scale)
+    config = SimConfig(cache_blocks=cache_blocks_for(trace_name, scale))
+    sim = Simulator(trace, make_policy(policy), disks, config)
+    if profiler is None:
+        return sim.run()
+    with profiler:
+        return sim.run()
 
 
 class TestProfiledRuns:
@@ -125,23 +138,42 @@ class TestProfiledRuns:
 
     def test_profiler_sees_all_engine_phases(self):
         profiler = PhaseProfiler()
-        _run("ld", "forestall", 2, profiler=profiler)
+        for _ in range(50):  # a run is tens of samples; stop once all seen
+            _run("ld", "forestall", 2, profiler=profiler)
+            if all(profiler.samples.get(phase) for phase in PHASES):
+                break
         for phase in PHASES:
             assert profiler.ms(phase) > 0.0, phase
-            assert profiler.counts[phase] > 0
+            assert profiler.samples[phase] > 0
 
     def test_unprofiled_simulator_has_no_wrapper(self):
         trace = build_workload("ld", scale=0.1)
         config = SimConfig(cache_blocks=cache_blocks_for("ld", 0.1))
-        sim = Simulator(trace, make_policy("forestall"), 2, config)
-        assert not isinstance(sim.policy, ProfiledPolicy)
-        assert sim.profiler is None
-
-    def test_wrapper_delegates_attributes(self):
         policy = make_policy("forestall")
-        wrapped = ProfiledPolicy(policy, PhaseProfiler())
-        assert wrapped.name == policy.name
-        assert wrapped.horizon == policy.horizon
+        sim = Simulator(trace, policy, 2, config)
+        assert sim.policy is policy
+        assert not hasattr(sim, "profiler")
+
+    def test_profiler_restores_signal_state(self):
+        before = signal.getsignal(signal.SIGALRM)
+        profiler = PhaseProfiler()
+        _run("ld", "demand", 1, profiler=profiler, scale=0.1)
+        assert signal.getsignal(signal.SIGALRM) == before
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        with pytest.raises(RuntimeError, match="already running"):
+            with profiler:
+                with profiler:
+                    pass
+        assert signal.getsignal(signal.SIGALRM) == before
+
+    def test_profiler_reports_samples_and_overhead(self):
+        profiler = PhaseProfiler()
+        _run("ld", "forestall", 2, profiler=profiler)
+        summary = profiler.to_dict()
+        assert summary["samples"] == profiler.sample_count > 0
+        assert 0.0 <= summary["overhead_ms"] < summary["total_ms"]
+        assert "samples" in profiler.report()
+        assert "overhead" in profiler.report()
 
 
 class TestProfileFlag:
