@@ -39,6 +39,8 @@ from repro.trace import cache_blocks_for
 DEFAULT_CELLS = [
     ("ld", "demand", 1, "fcfs"),
     ("ld", "forestall", 4, "cscan"),
+    # One disk: its trigger fires in nearly every survey.
+    ("cscope2", "forestall", 1, "cscan"),
     ("cscope2", "aggressive", 4, "cscan"),
     ("cscope2", "fixed-horizon", 2, "cscan"),
     ("glimpse", "forestall", 4, "cscan"),
@@ -54,6 +56,7 @@ DEFAULT_CELLS = [
 QUICK_CELLS = [
     ("ld", "demand", 1, "fcfs"),
     ("ld", "forestall", 4, "cscan"),
+    ("cscope2", "forestall", 1, "cscan"),
     ("cscope2", "aggressive", 4, "cscan"),
     ("synth", "aggressive", 2, "sstf"),
     ("synth-xl", "aggressive", 4, "cscan"),

@@ -32,7 +32,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core import events as ev
 from repro.core.cache import BufferCache
@@ -348,17 +348,18 @@ class Simulator:
         self._disk: Dict[int, int] = {}
         self._lbn: Dict[int, int] = {}
         self._place_blocks()
+        #: Each block's disk when placement fixes it (every referenced block
+        #: is placed above); None on a mirrored array, where a read goes to
+        #: whichever copy's disk is less loaded (see :meth:`disk_of`).
+        self.fixed_disk_of: Optional[Mapping[int, int]] = (
+            None if self.config.mirrored else self._disk
+        )
         #: Vectorized scan support (None without numpy).  Purely an
         #: accelerator: every consumer re-validates candidates against live
         #: cache state, so results are bit-identical with or without it.
         self.scan: Optional[ScanSupport] = ScanSupport.build(self.blocks)
         if self.scan is not None:
             self.cache.attach_present_mask(self.scan.mask)
-            if not self.config.mirrored:
-                # Static placement: per-position disk homes can be
-                # precomputed.  Mirrored reads are load-dependent, so the
-                # policies fall back to disk_of() there.
-                self.scan.attach_disks(self._disk)
 
         #: The other processes on the machine, set by ``_Machine.join``.
         self._peers: Tuple[Simulator, ...] = ()

@@ -27,15 +27,16 @@ Practicalities from the paper, all implemented here:
 from __future__ import annotations
 
 import bisect
+from array import array
 from collections import deque
+from itertools import islice
 from typing import (
     Any,
     Collection,
     Deque,
     Dict,
-    Iterable,
-    Iterator,
     List,
+    Mapping,
     Optional,
     Set,
     Tuple,
@@ -45,82 +46,63 @@ from typing import (
 from repro.core.batching import batch_size_for
 from repro.core.fixed_horizon import DEFAULT_HORIZON
 from repro.core.nextref import _np
-from repro.core.policy import PrefetchPolicy, SimulatorLike, Victim
+from repro.core.policy import (
+    _SCAN_PREFIX,
+    PrefetchPolicy,
+    SimulatorLike,
+    Victim,
+)
 
-#: Pending-window size below which the scalar survey/walk beats the
-#: vectorized one (fixed numpy call overhead vs ~0.2 us per scalar entry).
-_VECTOR_MIN_ENTRIES = 128
+#: A disk's survey walks this many entries in Python before a numpy pass
+#: takes the rest: below it, numpy's fixed cost per call exceeds the
+#: walk's ~0.1 us per entry.
+_WALK_MAX = 48
+
+#: Entries behind the cursor are dropped once more than this many pile up.
+_PRUNE_BEHIND = 256
+
+_INF = float("inf")
 
 #: Fixed F' values swept by Appendix H.
 APPENDIX_H_FETCH_TIMES = (1, 2, 4, 8, 15, 30, 60)
 
+#: A survey's outputs: the disks whose trigger fired, the disks with a
+#: missing block inside the backstop horizon, the least slack before any
+#: trigger, and the distance to the nearest missing block.
+Survey = Tuple[Set[int], Set[int], Optional[float], Optional[int]]
+
 
 class _MissingTracker:
-    """Exact sorted index of upcoming *missing* references, one per block.
+    """Exact index of upcoming *missing* references, one entry per block,
+    kept as one sorted position list per disk.
 
     Positions are discovered by a forward scan that never revisits covered
     ground.  The structure is kept exact by the policy: issuing a fetch,
     or allocating the block in place for a whole-block write, removes the
     block's entry; an eviction re-inserts the victim at its next use.
     Walks are therefore proportional to the number of truly missing blocks
-    in the window, with no stale skipping.
+    in the window, with no stale skipping.  A disk's list holds its
+    entries in rank order, so the survey keeps no rank counts.
+
+    On a mirrored array a read goes to whichever copy's disk is less
+    loaded when it issues, so no entry has a fixed disk: ``lists`` is then
+    one list in global order, split by disk when a survey asks.
     """
 
     def __init__(self, sim: SimulatorLike, window: int) -> None:
         self.sim = sim
         self.window = window
-        self.positions: List[int] = []  # sorted
-        self._position_of: Dict[int, int] = {}  # block -> its listed position
         self.scanned_to = 0
-        # Persistent int64 mirror of ``positions`` (plus each entry's disk),
-        # kept in lockstep through every mutation so the vectorized survey
-        # and batch paths never pay a per-call list->array conversion.
-        # Mutations are C-level memmoves on a window of ~10^3 entries,
-        # far cheaper than the conversions they replace.
-        scan = sim.scan
-        self._mirror = (
-            _np is not None and scan is not None and scan.disk_by_pos is not None
-        )
-        if self._mirror:
-            self._disk_by_pos = scan.disk_by_pos  # type: ignore[union-attr]
-            self._pos_arr = _np.empty(1024, dtype=_np.int64)
-            self._disk_arr = _np.empty(1024, dtype=_np.int64)
-            # Per-disk position subsequences (same entries, split by disk):
-            # within one disk the i-th entry's rank is simply i+1, which
-            # lets the survey skip rank bookkeeping entirely.
-            num_disks = sim.num_disks
-            self._disk_pos = [
-                _np.empty(256, dtype=_np.int64) for _ in range(num_disks)
-            ]
-            self._disk_len = [0] * num_disks
+        self._position_of: Dict[int, int] = {}  # block -> its listed position
+        self._homes: Optional[Mapping[int, int]] = sim.fixed_disk_of
+        count = 1 if self._homes is None else sim.num_disks
+        #: Sorted missing positions: one list per disk, or one in all.
+        #: int64 arrays, so the survey's numpy pass reads them in place.
+        self.lists: List["array[int]"] = [array("q") for _ in range(count)]
 
-    def _grow(self, needed: int, valid: int) -> None:
-        capacity = self._pos_arr.shape[0]
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        pos_arr = _np.empty(capacity, dtype=_np.int64)
-        disk_arr = _np.empty(capacity, dtype=_np.int64)
-        pos_arr[:valid] = self._pos_arr[:valid]
-        disk_arr[:valid] = self._disk_arr[:valid]
-        self._pos_arr = pos_arr
-        self._disk_arr = disk_arr
-
-    def _disk_grow(self, disk: int, needed: int) -> None:
-        buf = self._disk_pos[disk]
-        capacity = buf.shape[0]
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        grown = _np.empty(capacity, dtype=_np.int64)
-        valid = self._disk_len[disk]
-        grown[:valid] = buf[:valid]
-        self._disk_pos[disk] = grown
-
-    def __len__(self) -> int:
-        return len(self.positions)
+    def _list_of(self, block: int) -> "array[int]":
+        homes = self._homes
+        return self.lists[0 if homes is None else homes[block]]
 
     def extend(self, cursor: int) -> None:
         blocks = self.sim.blocks
@@ -131,66 +113,37 @@ class _MissingTracker:
         present = self.sim.cache.present
         lost = self.sim.lost_blocks
         position_of = self._position_of
-        append = self.positions.append
-        before = len(self.positions)
+        homes = self._homes
+        lists = self.lists
         scan = self.sim.scan
-        if scan is not None:
-            # One vectorized probe for the whole span: nothing mutates the
-            # cache during extend, so the mask's answer is exact; only the
-            # first-occurrence and lost filters remain per candidate.
-            for position in scan.missing_candidates(start, end):
-                block = blocks[position]
-                if block not in position_of and block not in lost:
-                    position_of[block] = position
-                    append(position)
-        else:
-            for position in range(start, end):
-                block = blocks[position]
-                if (
-                    block not in position_of
-                    and block not in present
-                    and block not in lost  # unreachable: no fetch can help
-                ):
-                    position_of[block] = position
-                    append(position)
+        candidates: Any = range(start, end)
+        if scan is not None and end - start > _SCAN_PREFIX:
+            # One vectorized probe for a long span (the first extend covers
+            # the whole window); nothing mutates the cache during extend,
+            # so the probe and the per-position test agree.
+            candidates = scan.missing_candidates(start, end)
+        # New positions lie past every listed one (the scan never
+        # revisits), so appending keeps each list sorted.
+        for position in candidates:
+            block = blocks[position]
+            if (
+                block not in position_of
+                and block not in present
+                and block not in lost  # unreachable: no fetch can help
+            ):
+                position_of[block] = position
+                lists[0 if homes is None else homes[block]].append(position)
         self.scanned_to = end
-        after = len(self.positions)
-        if self._mirror and after > before:
-            self._grow(after, before)
-            added = _np.asarray(self.positions[before:], dtype=_np.int64)
-            added_disks = self._disk_by_pos[added]
-            self._pos_arr[before:after] = added
-            self._disk_arr[before:after] = added_disks
-            # Appended positions all lie past every existing entry (the
-            # forward scan never revisits), so each disk's share lands at
-            # the end of its subsequence too.
-            for disk in range(len(self._disk_pos)):
-                vals = added[added_disks == disk]
-                count = vals.shape[0]
-                if count:
-                    length = self._disk_len[disk]
-                    self._disk_grow(disk, length + count)
-                    self._disk_pos[disk][length : length + count] = vals
-                    self._disk_len[disk] = length + count
 
     def remove(self, block: int) -> None:
         """The block is being fetched; it is no longer missing."""
         position = self._position_of.pop(block, None)
         if position is None:
             return
-        index = bisect.bisect_left(self.positions, position)
-        if index < len(self.positions) and self.positions[index] == position:
-            del self.positions[index]
-            if self._mirror:
-                count = len(self.positions)  # post-delete
-                self._pos_arr[index:count] = self._pos_arr[index + 1 : count + 1]
-                self._disk_arr[index:count] = self._disk_arr[index + 1 : count + 1]
-                disk = int(self._disk_by_pos[position])
-                buf = self._disk_pos[disk]
-                length = self._disk_len[disk]
-                at = int(_np.searchsorted(buf[:length], position))
-                buf[at : length - 1] = buf[at + 1 : length]
-                self._disk_len[disk] = length - 1
+        entries = self._list_of(block)
+        index = bisect.bisect_left(entries, position)
+        if index < len(entries) and entries[index] == position:
+            del entries[index]
 
     def on_evict(self, block: int, next_use: float) -> None:
         """The block was evicted; it is missing again from its next use."""
@@ -205,96 +158,78 @@ class _MissingTracker:
                 return
             self.remove(block)
         self._position_of[block] = position
-        # Positions are unique (one block per reference slot), so left and
-        # right insertion points coincide; reuse the index for the mirror.
-        index = bisect.bisect_left(self.positions, position)
-        self.positions.insert(index, position)
-        if self._mirror:
-            count = len(self.positions)  # post-insert
-            self._grow(count, count - 1)
-            self._pos_arr[index + 1 : count] = self._pos_arr[index : count - 1]
-            self._disk_arr[index + 1 : count] = self._disk_arr[index : count - 1]
-            self._pos_arr[index] = position
-            disk = int(self._disk_by_pos[position])
-            self._disk_arr[index] = disk
-            length = self._disk_len[disk]
-            self._disk_grow(disk, length + 1)
-            buf = self._disk_pos[disk]  # _disk_grow may have replaced it
-            at = int(_np.searchsorted(buf[:length], position))
-            buf[at + 1 : length + 1] = buf[at:length]
-            buf[at] = position
-            self._disk_len[disk] = length + 1
+        # Positions are unique (one block per reference slot).
+        bisect.insort(self._list_of(block), position)
 
-    def _prune_behind(self, cursor: int) -> int:
-        """Index of the first entry at/past ``cursor``, compacting the list
-        when many entries have fallen behind the application (they can
-        never matter again).  Shared by the scalar and vectorized walks so
-        both mutate ``_position_of`` identically."""
-        positions = self.positions
-        start = bisect.bisect_left(positions, cursor)
-        if start > 256:
-            for position in positions[:start]:
-                block = self.sim.blocks[position]
-                if self._position_of.get(block) == position:
-                    del self._position_of[block]
-            del positions[:start]
-            if self._mirror:
-                count = len(positions)  # post-compaction
-                self._pos_arr[:count] = self._pos_arr[start : start + count]
-                self._disk_arr[:count] = self._disk_arr[start : start + count]
-                for disk, buf in enumerate(self._disk_pos):
-                    length = self._disk_len[disk]
-                    behind = int(_np.searchsorted(buf[:length], cursor))
-                    if behind:
-                        buf[: length - behind] = buf[behind:length]
-                        self._disk_len[disk] = length - behind
-            start = 0
-        return start
-
-    def pending_window(self, cursor: int) -> Tuple[List[int], int]:
-        """The sorted missing positions and the index of the first one
-        at/past ``cursor`` (after the same pruning as :meth:`walk`)."""
-        start = self._prune_behind(cursor)
-        return self.positions, start
-
-    def pending_arrays(self, cursor: int) -> Optional[Tuple[Any, Any]]:
-        """O(1) int64 views (positions, disks) of the entries at/past
-        ``cursor``, or ``None`` when the mirror is unavailable (no numpy or
-        no per-position disk map).  The views alias the live mirror: they
-        are invalidated by the next tracker mutation, so callers must
-        materialize anything they need across an issue."""
-        if not self._mirror:
-            return None
-        start = self._prune_behind(cursor)
-        count = len(self.positions)
-        return self._pos_arr[start:count], self._disk_arr[start:count]
-
-    def disk_view(self, disk: int, cursor: int) -> Any:
-        """O(log n) int64 view of one disk's missing positions at/past
-        ``cursor`` (sorted; rank of the i-th entry on its disk is i+1).
-        Same aliasing caveat as :meth:`pending_arrays`.  Only meaningful
-        when :meth:`pending_arrays` returned a view (mirror available)."""
-        buf = self._disk_pos[disk]
-        length = self._disk_len[disk]
+    def _starts(self, cursor: int) -> List[int]:
+        """Each list's index of its first entry at/past ``cursor``,
+        dropping every entry behind the cursor (they can never matter
+        again) once more than ``_PRUNE_BEHIND`` of them have piled up."""
+        lists = self.lists
         # Entries behind the cursor are transient (a missing reference is
         # served — and removed — before the cursor passes it), so the
         # common case is start == 0; one element probe dodges the search.
-        if not length or buf[0] >= cursor:
-            return buf[:length]
-        start = int(buf[:length].searchsorted(cursor))
-        return buf[start:length]
+        starts = [
+            0 if not entries or entries[0] >= cursor
+            else bisect.bisect_left(entries, cursor)
+            for entries in lists
+        ]
+        if sum(starts) > _PRUNE_BEHIND:
+            blocks = self.sim.blocks
+            position_of = self._position_of
+            for entries, start in zip(lists, starts):
+                for position in entries[:start]:
+                    block = blocks[position]
+                    if position_of.get(block) == position:
+                        del position_of[block]
+                del entries[:start]
+            starts = [0] * len(lists)
+        return starts
 
-    def walk(self, cursor: int) -> Iterator[Tuple[int, int]]:
-        """Yield (position, block) for missing references at/past the cursor.
+    def by_disk(self, cursor: int) -> Tuple[List["array[int]"], List[int]]:
+        """Each disk's sorted missing positions and the index of its first
+        one at/past ``cursor``.  The lists are live (fixed placement) or
+        built for this call (mirrored): read them before any mutation."""
+        starts = self._starts(cursor)
+        if self._homes is not None:
+            return self.lists, starts
+        sim = self.sim
+        blocks = sim.blocks
+        disk_of = sim.disk_of
+        split: List["array[int]"] = [array("q") for _ in range(sim.num_disks)]
+        for position in self.lists[0][starts[0]:]:
+            split[disk_of(blocks[position])].append(position)
+        return split, [0] * sim.num_disks
 
-        Always iterates a copy, so callers may mutate the missing set
-        mid-walk (issuing a fetch removes its entry).
-        """
-        start = self._prune_behind(cursor)
-        blocks = self.sim.blocks
-        for position in self.positions[start:]:
-            block = blocks[position]
-            yield position, block
+    def batch_positions(
+        self,
+        cursor: int,
+        budgets: Mapping[int, int],
+        backstop_disks: Collection[int],
+        horizon_end: int,
+    ) -> List[int]:
+        """A snapshot, in position order, of the entries a batch issue can
+        act on.  With fixed disks those are each budgeted disk's first
+        ``budget`` entries and each backstop disk's entries up to
+        ``horizon_end``; every other entry is a no-op in the issue loop.  A
+        mirrored array picks a block's disk as its fetch issues, so there
+        every entry at/past the cursor is a candidate."""
+        starts = self._starts(cursor)
+        lists = self.lists
+        if self._homes is None:
+            return lists[0][starts[0]:].tolist()
+        chosen: List[int] = []
+        for disk, budget in budgets.items():
+            start = starts[disk]
+            chosen += lists[disk][start : start + budget]
+        for disk in sorted(backstop_disks):
+            if disk not in budgets:
+                entries = lists[disk]
+                start = starts[disk]
+                stop = bisect.bisect_right(entries, horizon_end, start)
+                chosen += entries[start:stop]
+        chosen.sort()
+        return chosen
 
 
 class Forestall(PrefetchPolicy):
@@ -330,9 +265,12 @@ class Forestall(PrefetchPolicy):
         self._compute_history: Deque[float] = deque()
         self._next_check_cursor = 0
         self._pending_triggers: Set[int] = set()
-        # Reusable survey scratch (numpy only): ranks 1..cap, grown on
-        # demand to the largest single-disk pending window seen.
-        self._rank1_buf = _np.arange(1, 1025, dtype=_np.int64) if _np is not None else None
+        #: Per disk: the rank at which its last survey fired (0: none).
+        #: Steers how far the survey walks before numpy takes over, never
+        #: what it finds.
+        self._fired_at: List[int] = []
+        #: Survey scratch for the numpy pass: ranks 1..n, grown on demand.
+        self._ranks: Any = None
 
     def bind(self, sim: SimulatorLike) -> None:
         super().bind(sim)
@@ -352,6 +290,7 @@ class Forestall(PrefetchPolicy):
             mean_compute = max(1e-3, sum(head) / len(head))
         self._compute_history = deque([mean_compute], maxlen=self.history)
         self._next_check_cursor = 0
+        self._fired_at = [0] * sim.num_disks
 
     # -- observation hooks ----------------------------------------------------------
 
@@ -381,19 +320,11 @@ class Forestall(PrefetchPolicy):
     def estimate(self, disk: int) -> float:
         """F' for ``disk``: recent fetch/compute ratio, overestimated when
         access times say the workload is not sequential."""
-        if self.fixed_estimate is not None:
-            return float(self.fixed_estimate)
-        accesses = self._access_history[disk]
-        mean_access = sum(accesses) / len(accesses)
-        mean_compute = sum(self._compute_history) / len(self._compute_history)
-        ratio = mean_access / max(1e-6, mean_compute)
-        if mean_access < self.fast_disk_threshold_ms:
-            return max(1.0, ratio)
-        return max(1.0, ratio * self.overestimate_factor)
+        return self._estimates()[disk]
 
     def _estimates(self) -> List[float]:
-        """Per-disk F' with the compute-history mean hoisted out of the
-        per-disk loop; arithmetic is term-for-term :meth:`estimate`."""
+        """:meth:`estimate` for every disk, with the compute-history mean
+        taken once for all of them."""
         if self.fixed_estimate is not None:
             return [float(self.fixed_estimate)] * self.sim.num_disks
         mean_compute = sum(self._compute_history) / len(self._compute_history)
@@ -435,24 +366,15 @@ class Forestall(PrefetchPolicy):
         """
         if not force and cursor < self._next_check_cursor:
             return
-        tracker = self._tracker
-        tracker.extend(cursor)
-        estimates = self._estimates()
-        arrays = tracker.pending_arrays(cursor)
-        if arrays is None:
-            survey = self._survey_scalar(cursor, estimates)
-        elif arrays[0].shape[0] >= _VECTOR_MIN_ENTRIES:
-            survey = self._survey_vector(cursor, estimates, arrays)
-        else:
-            survey = self._survey_scalar(cursor, estimates, arrays)
-            arrays = None  # below the batch-cut threshold; walk instead
+        self._tracker.extend(cursor)
+        survey = self._survey(cursor, self._estimates())
         triggered, backstopped, min_slack, first_distance = survey
         self._pending_triggers = triggered | backstopped
         free = self.sim.array.free
         ready = triggered & free
         ready_backstop = (backstopped - triggered) & free
         if ready or ready_backstop:
-            self._issue_batches(cursor, ready, ready_backstop, arrays)
+            self._issue_batches(cursor, ready, ready_backstop)
             self._next_check_cursor = 0
             return
         # Nothing fired (or fired only on busy disks): the earliest a new
@@ -465,174 +387,108 @@ class Forestall(PrefetchPolicy):
         advance = max(1, int(min(candidates)))
         self._next_check_cursor = cursor + advance
 
-    def _survey_scalar(
-        self,
-        cursor: int,
-        estimates: List[float],
-        arrays: Optional[Tuple[Any, Any]] = None,
-    ) -> Tuple[Set[int], Set[int], Optional[float], Optional[int]]:
-        """Per-entry stall-inevitability walk (reference implementation).
+    def _survey(self, cursor: int, estimates: List[float]) -> Survey:
+        """Which disks must start fetching now, walking each disk's missing
+        entries in rank order and stopping at its first trigger.
 
-        With ``arrays`` (the tracker's pending mirror view) the walk reads
-        position/disk pairs straight from the mirror — ``disk_by_pos[p]``
-        equals ``disk_of(blocks[p])`` by construction, so the loop is
-        unchanged, just without a dict lookup per entry.
+        With ``d_i`` the distance to a disk's i-th missing block, the slack
+        ``d_i - i * F'`` is below zero exactly when ``i * F' > d_i`` (the
+        correctly rounded difference of these magnitudes is zero only when
+        they are equal), so one float64 value serves both the trigger and
+        the memo's least slack, which counts only entries before the
+        trigger.  The backstop asks for ``d_i <= H`` at or before the
+        trigger; the first entry is the nearest, so that is ``d_1 <= H``.
+
+        Past ``_WALK_MAX`` entries a numpy pass finishes the list with the
+        same int64 -> float64 arithmetic (exact below 2**53).  The Python
+        walk goes that far only when the disk last fired within it, and
+        otherwise checks the first entry alone: the path depends on the
+        list's length and the disk's last survey, never on the answer.
         """
-        sim = self.sim
-        num_disks = len(estimates)
-        counts: Dict[int, int] = {}
-        triggered: Set[int] = set()
-        backstopped: Set[int] = set()
-        min_slack: Optional[float] = None
-        first_distance: Optional[int] = None
-        if arrays is not None:
-            entries: Iterable[Tuple[int, int]] = zip(
-                arrays[0].tolist(), arrays[1].tolist()
-            )
-        else:
-            entries = (
-                (position, sim.disk_of(block))
-                for position, block in self._tracker.walk(cursor)
-            )
-        for position, disk in entries:
-            distance = position - cursor
-            if first_distance is None:
-                first_distance = distance
-            count = counts.get(disk, 0) + 1
-            counts[disk] = count
-            if disk in triggered:
-                continue
-            if distance <= self.horizon:
-                # Fixed-horizon backstop: this block must be issued, but a
-                # backstop alone does not justify a deep batch.
-                backstopped.add(disk)
-            if count * estimates[disk] > distance:
-                triggered.add(disk)
-            else:
-                slack = distance - count * estimates[disk]
-                if min_slack is None or slack < min_slack:
-                    min_slack = slack
-            if len(triggered) == num_disks:
-                break
-        return triggered, backstopped, min_slack, first_distance
-
-    def _survey_vector(
-        self,
-        cursor: int,
-        estimates: List[float],
-        arrays: Tuple[Any, Any],
-    ) -> Tuple[Set[int], Set[int], Optional[float], Optional[int]]:
-        """Vectorized :meth:`_survey_scalar`, bit-identical by construction.
-
-        The tracker keeps each disk's pending positions as their own sorted
-        subsequence, so the i-th entry's rank on its disk is simply ``i+1``
-        — no rank bookkeeping.  Per disk with distances ``d_1 <= d_2 <= ...``
-        the trigger is the first ``i`` with ``i * F' > d_i``; the backstop
-        checks ``d_i <= H`` at or before the trigger entry, and since the
-        first entry is the nearest, that reduces to ``d_1 <= H``; slack
-        accumulates strictly before the trigger.  All arithmetic is int64 ->
-        float64 (exact below 2**53), term-for-term the scalar int*float
-        semantics; folding per-disk slack minima into a global minimum is
-        order-independent, and the scalar loop's all-disks-triggered early
-        exit only skips bookkeeping that cannot change the outputs.
-
-        ``arrays`` is the tracker's live (positions, disks) mirror view —
-        non-empty by the caller's eligibility check, and not mutated here.
-        """
-        triggered: Set[int] = set()
-        backstopped: Set[int] = set()
-        min_slack: Optional[float] = None
-        first_distance = int(arrays[0][0]) - cursor
-        tracker = self._tracker
+        lists, starts = self._tracker.by_disk(cursor)
+        fired_at = self._fired_at
         horizon = self.horizon
-        ranks = self._rank1_buf
+        triggered: Set[int] = set()
+        backstopped: Set[int] = set()
+        least_slack = _INF
+        first_distance: Optional[int] = None
         for disk, est in enumerate(estimates):
-            pos_d = tracker.disk_view(disk, cursor)
-            m = pos_d.shape[0]
-            if m == 0:
+            entries = lists[disk]
+            start = starts[disk]
+            count = len(entries) - start
+            if not count:
                 continue
-            if int(pos_d[0]) - cursor <= horizon:
+            distance = entries[start] - cursor
+            if first_distance is None or distance < first_distance:
+                first_distance = distance
+            if distance <= horizon:
                 backstopped.add(disk)
-            if m > ranks.shape[0]:
-                size = max(m, 2 * ranks.shape[0])
-                ranks = self._rank1_buf = _np.arange(1, size + 1, dtype=_np.int64)
-            # ``slack < 0`` and the scalar's ``i * F' > d_i`` are the same
-            # float64 predicate (the correctly-rounded difference of these
-            # magnitudes never rounds a nonzero value to zero), so one
-            # slack vector serves both the trigger test and the memo min.
-            slack = (pos_d - cursor) - ranks[:m] * est
-            low = slack.min()
-            if low >= 0.0:  # common case: nothing fired, every entry counts
-                low_f = float(low)
-                if min_slack is None or low_f < min_slack:
-                    min_slack = low_f
-                continue
-            triggered.add(disk)
-            trigger = int((slack < 0.0).argmax())  # first over entry
-            if trigger:
-                pre = float(slack[:trigger].min())
-                if min_slack is None or pre < min_slack:
-                    min_slack = pre
+            if _np is None or count <= _WALK_MAX:
+                walk = count
+            else:
+                walk = _WALK_MAX if 0 < fired_at[disk] <= _WALK_MAX else 1
+            low = _INF  # the least slack before the trigger
+            walked = islice(entries, start, start + walk)
+            for rank, position in enumerate(walked, 1):
+                slack = (position - cursor) - rank * est
+                if slack < 0.0:
+                    break
+                if slack < low:
+                    low = slack
+            else:
+                rank = 0  # no trigger yet
+                if walk < count:
+                    # No view of ``entries`` outlives this expression: a
+                    # live one would stop the tracker resizing the array.
+                    tail = (
+                        _np.frombuffer(entries, _np.int64)[start + walk :]
+                        - cursor
+                    ) - self._rank_array(count)[walk:count] * est
+                    least = tail.min()
+                    if least < 0.0:
+                        cut = int((tail < 0.0).argmax())
+                        rank = walk + cut + 1
+                        least = tail[:cut].min() if cut else _INF
+                    if least < low:
+                        low = float(least)
+            fired_at[disk] = rank
+            if rank:
+                triggered.add(disk)
+            if low < least_slack:
+                least_slack = low
+        min_slack = None if least_slack == _INF else least_slack
         return triggered, backstopped, min_slack, first_distance
+
+    def _rank_array(self, count: int) -> Any:
+        """int64 ranks 1..n with n >= ``count``."""
+        ranks = self._ranks
+        if ranks is None or ranks.shape[0] < count:
+            size = max(count, 1024 if ranks is None else 2 * ranks.shape[0])
+            ranks = self._ranks = _np.arange(1, size + 1, dtype=_np.int64)
+        return ranks
 
     def _issue_batches(
         self,
         cursor: int,
         disks: Collection[int],
         backstop_disks: Collection[int] = (),
-        arrays: Optional[Tuple[Any, Any]] = None,
     ) -> None:
         """Aggressive-style batch fill restricted to the triggered disks.
 
         ``backstop_disks`` fired only the fixed-horizon rule: they issue
         just the missing blocks within the horizon (fixed horizon's own
-        behaviour), not a deep batch.  ``arrays`` is the caller's pending
-        mirror view (from the survey at the same cursor, with no mutation
-        in between); the active set is materialized from it before the
-        first issue invalidates the view.
+        behaviour), not a deep batch.
         """
         sim = self.sim
         budgets = {disk: self.batch_size for disk in sorted(disks)}
         horizon_end = cursor + self.horizon
-        tracker = self._tracker
-        if arrays is not None:
-            # Keep exactly the entries the scalar walk could act on; all
-            # others are pure no-ops in this loop, so dropping them is
-            # output-neutral.  A budgeted disk's entries beyond its first
-            # ``batch_size`` cannot issue (each earlier one either issued
-            # and decremented the budget, or broke out of the loop), and a
-            # backstop-only disk acts solely inside the horizon.  Each
-            # disk's candidates are a prefix of its per-disk subsequence;
-            # re-sorting the union restores the scalar walk's global
-            # position order, and the materialized list is the snapshot
-            # copy the scalar walk would have made.
-            chosen = [
-                tracker.disk_view(disk, cursor)[:budget]
-                for disk, budget in budgets.items()
-            ]
-            for disk in backstop_disks:
-                if disk not in budgets:
-                    view = tracker.disk_view(disk, cursor)
-                    k = int(view.searchsorted(horizon_end, side="right"))
-                    chosen.append(view[:k])
-            if len(chosen) == 1:
-                active = chosen[0]
-            else:
-                active = _np.sort(_np.concatenate(chosen))
-            all_blocks = sim.blocks
-            walk_iter: Iterable[Tuple[int, int, Optional[int]]] = [
-                (position, all_blocks[position], disk)
-                for position, disk in zip(
-                    active.tolist(), tracker._disk_by_pos[active].tolist()
-                )
-            ]
-        else:
-            walk_iter = (
-                (position, block, None)
-                for position, block in tracker.walk(cursor)
-            )
-        for position, block, known_disk in walk_iter:
-            disk = sim.disk_of(block) if known_disk is None else known_disk
+        blocks = sim.blocks
+        positions = self._tracker.batch_positions(
+            cursor, budgets, backstop_disks, horizon_end
+        )
+        for position in positions:
+            block = blocks[position]
+            disk = sim.disk_of(block)
             budget = budgets.get(disk)
             if budget is None:
                 if disk in backstop_disks and position <= horizon_end:

@@ -286,9 +286,6 @@ class ScanSupport:
         self.blocks_arr = blocks_arr
         self.mask = mask
         self.mask_np = mask_np
-        #: Per-position disk homes (int64), or None when the placement is
-        #: load-dependent (mirrored arrays) — set via :meth:`attach_disks`.
-        self.disk_by_pos: Any = None
 
     @classmethod
     def build(cls, blocks: Sequence[int]) -> Optional["ScanSupport"]:
@@ -308,14 +305,6 @@ class ScanSupport:
         mask = bytearray(size)
         mask_np = _np.frombuffer(mask, dtype=_np.uint8)
         return cls(blocks_arr, mask, mask_np)
-
-    def attach_disks(self, disk_map: Dict[int, int]) -> None:
-        """Precompute per-position disk homes from a static placement."""
-        dense = _np.zeros(len(self.mask), dtype=_np.int64)
-        for block, disk in disk_map.items():
-            if 0 <= block < len(self.mask):
-                dense[block] = disk
-        self.disk_by_pos = dense[self.blocks_arr]
 
     def missing_candidates(self, start: int, end: int) -> List[int]:
         """Positions in ``[start, end)`` whose block's mask bit is clear.

@@ -24,6 +24,7 @@ from typing import (
     Iterable,
     Iterator,
     Literal,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -96,6 +97,9 @@ class SimulatorLike(Protocol):
 
     @property
     def scan(self) -> Optional["ScanSupport"]: ...
+
+    @property
+    def fixed_disk_of(self) -> Optional[Mapping[int, int]]: ...
 
     def protected_blocks(self) -> Set[int]: ...
 

@@ -1,71 +1,224 @@
 """Forestall: stall-inevitability triggering and adaptive estimation."""
 
+import math
+import random
+from array import array
+from types import SimpleNamespace
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import Forestall, Simulator
+from repro.core import forestall as forestall_module
 from repro.core.forestall import APPENDIX_H_FETCH_TIMES, _MissingTracker
-from repro.core.nextref import INFINITE
+from repro.core.nextref import HAVE_NUMPY, INFINITE
 from tests.conftest import make_trace, run, simple_config
 
 
+def listed(tracker):
+    """Every position the tracker lists, in order."""
+    return sorted(p for entries in tracker.lists for p in entries)
+
+
 class TestMissingTracker:
-    def _tracker(self, blocks, cache_blocks=4, window=100):
+    def _tracker(self, blocks, cache_blocks=4, window=100, disks=1):
         trace = make_trace(blocks)
         policy = Forestall()
-        sim = Simulator(trace, policy, 1, simple_config(cache_blocks))
+        sim = Simulator(trace, policy, disks, simple_config(cache_blocks))
         return _MissingTracker(sim, window), sim
 
     def test_extend_discovers_missing_blocks(self):
         tracker, _sim = self._tracker([5, 6, 7])
         tracker.extend(0)
-        assert tracker.positions == [0, 1, 2]
+        assert listed(tracker) == [0, 1, 2]
 
     def test_extend_deduplicates_blocks(self):
         tracker, _sim = self._tracker([5, 5, 6, 5])
         tracker.extend(0)
-        assert tracker.positions == [0, 2]
+        assert listed(tracker) == [0, 2]
 
     def test_extend_never_rescans(self):
         tracker, _sim = self._tracker([5, 6, 7, 8])
         tracker.extend(0)
         assert tracker.scanned_to == 4
-        before = list(tracker.positions)
+        before = listed(tracker)
         tracker.extend(0)
-        assert tracker.positions == before
+        assert listed(tracker) == before
 
     def test_remove_on_fetch(self):
         tracker, _sim = self._tracker([5, 6, 7])
         tracker.extend(0)
         tracker.remove(6)
-        assert tracker.positions == [0, 2]
+        assert listed(tracker) == [0, 2]
         tracker.remove(6)  # idempotent
-        assert tracker.positions == [0, 2]
+        assert listed(tracker) == [0, 2]
 
     def test_evict_reinserts_at_next_use(self):
         tracker, _sim = self._tracker([5, 6, 5, 7])
         tracker.extend(0)
         tracker.remove(5)
         tracker.on_evict(5, 2)
-        assert 2 in tracker.positions
+        assert 2 in listed(tracker)
 
     def test_evict_beyond_window_ignored(self):
         tracker, _sim = self._tracker([5, 6, 7])
         tracker.extend(0)
         tracker.on_evict(9, INFINITE)
         tracker.on_evict(9, 50)  # past scanned_to
-        assert all(p <= 2 for p in tracker.positions)
+        assert all(p <= 2 for p in listed(tracker))
 
     def test_walk_yields_in_position_order(self):
-        tracker, _sim = self._tracker([9, 8, 7, 6])
+        # Each disk's list is sorted and holds only that disk's blocks.
+        tracker, sim = self._tracker(list(range(12, 0, -1)), disks=3)
         tracker.extend(0)
-        walked = [p for p, _b in tracker.walk(0)]
-        assert walked == sorted(walked)
+        lists, starts = tracker.by_disk(0)
+        assert starts == [0, 0, 0]
+        assert sorted(p for entries in lists for p in entries) == list(range(12))
+        for disk, entries in enumerate(lists):
+            assert list(entries) == sorted(entries)
+            assert all(sim.disk_of(sim.blocks[p]) == disk for p in entries)
 
     def test_walk_skips_behind_cursor(self):
         tracker, _sim = self._tracker([5, 6, 7])
         tracker.extend(0)
-        walked = [b for _p, b in tracker.walk(2)]
-        assert walked == [7]
+        lists, starts = tracker.by_disk(2)
+        assert list(lists[0][starts[0]:]) == [2]
+
+    def test_entries_behind_cursor_dropped_past_threshold(self):
+        # A block listed behind the cursor is not listed again until the
+        # entry is dropped, so when that happens is part of the results.
+        tracker, _sim = self._tracker(list(range(600)), window=600)
+        tracker.extend(0)
+        lists, starts = tracker.by_disk(256)
+        assert starts == [256] and len(lists[0]) == 600
+        lists, starts = tracker.by_disk(257)
+        assert starts == [0] and lists[0][0] == 257
+        assert 0 not in tracker._position_of and 257 in tracker._position_of
+
+
+def global_walk(lists, cursor, estimates, horizon):
+    """The survey by brute force: every entry at/past the cursor in global
+    position order, each disk's rank counted as the walk meets it."""
+    entries = sorted(
+        (position, disk)
+        for disk, positions in enumerate(lists)
+        for position in positions
+        if position >= cursor
+    )
+    counts = {}
+    triggered, backstopped = set(), set()
+    min_slack = first_distance = None
+    for position, disk in entries:
+        distance = position - cursor
+        if first_distance is None:
+            first_distance = distance
+        count = counts.get(disk, 0) + 1
+        counts[disk] = count
+        if disk in triggered:
+            continue
+        if distance <= horizon:
+            backstopped.add(disk)
+        if count * estimates[disk] > distance:
+            triggered.add(disk)
+        else:
+            slack = distance - count * estimates[disk]
+            if min_slack is None or slack < min_slack:
+                min_slack = slack
+    return triggered, backstopped, min_slack, first_distance
+
+
+@st.composite
+def survey_cases(draw):
+    """Per-disk sorted missing positions (some behind the cursor), with
+    gaps near ``rank * F'`` so that triggers fire at chosen ranks and
+    whole-number products give slack of exactly 0.0."""
+    disks = draw(st.integers(1, 4))
+    cursor = draw(st.integers(0, 3000))
+    fixed = draw(st.sampled_from((None,) + APPENDIX_H_FETCH_TIMES))
+    estimates = [
+        float(fixed) if fixed is not None
+        else draw(st.sampled_from([1.0, 1.5, 2.5, 7.0]) | st.floats(1.0, 60.0))
+        for _ in range(disks)
+    ]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    taken = set()
+    lists = []
+    for est in estimates:
+        size = draw(st.sampled_from([0, 1, 2, 47, 48, 49, 700])
+                    | st.integers(0, 700))
+        fire = draw(st.sampled_from([None, 1, 2, 30, 48, 49, 50, 300]))
+        behind = min(cursor, size, rng.choice([0, 0, 3, 300]))
+        positions = [p for p in rng.sample(range(cursor), behind)
+                     if p not in taken]
+        distance = -1
+        for rank in range(1, size - behind + 1):
+            target = math.ceil(rank * est)  # slack 0.0 at whole products
+            if fire is not None and rank >= fire:
+                target -= rng.choice((1, 1, 4))
+            else:
+                target += rng.choice((0, 0, 0, 1, 5))
+            distance = max(distance + 1, target)
+            if cursor + distance not in taken:
+                positions.append(cursor + distance)
+        taken.update(positions)
+        lists.append(sorted(positions))
+    horizon = draw(st.sampled_from([0, 8, 62, 10**6]))
+    fired_at = [draw(st.sampled_from([0, 1, 20, 48, 49, 500]))
+                for _ in range(disks)]
+    return lists, cursor, estimates, horizon, fired_at
+
+
+def survey(lists, cursor, estimates, horizon, fired_at):
+    """Forestall's survey over ``lists`` as its per-disk index."""
+    top = max([cursor] + [p for positions in lists for p in positions])
+    sim = SimpleNamespace(fixed_disk_of={}, num_disks=len(lists),
+                          blocks=range(top + 1))
+    tracker = _MissingTracker(sim, window=0)
+    tracker.lists = [array("q", positions) for positions in lists]
+    policy = Forestall(horizon=horizon)
+    policy._tracker = tracker
+    policy._fired_at = list(fired_at)
+    return policy._survey(cursor, estimates)
+
+
+class TestSurveyOracle:
+    """The per-disk survey, stopped at each disk's first trigger, gives the
+    global-order walk's four outputs on every path."""
+
+    PATHS = {
+        # Lists past _WALK_MAX choose their path from the last outcome.
+        "as-built": {"_WALK_MAX": forestall_module._WALK_MAX},
+        "walk": {"_WALK_MAX": 10**9},
+        # Every list of two or more entries checks rank 1, then numpy.
+        "numpy": {"_WALK_MAX": 0},
+        "no-numpy": {"_np": None},
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_matches_global_walk(self, path):
+        if path != "no-numpy" and not HAVE_NUMPY:
+            pytest.skip("the numpy pass needs numpy")
+        numpy_passes = []
+        rank_array = Forestall._rank_array
+
+        def counting(policy, count):
+            numpy_passes.append(count)
+            return rank_array(policy, count)
+
+        @given(case=survey_cases())
+        @settings(max_examples=150, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        def check(case):
+            lists, cursor, estimates, horizon, fired_at = case
+            expected = global_walk(lists, cursor, estimates, horizon)
+            assert survey(*case) == expected
+
+        with mock.patch.multiple(forestall_module, **self.PATHS[path]), \
+                mock.patch.object(Forestall, "_rank_array", counting):
+            check()
+        assert bool(numpy_passes) == (path in ("as-built", "numpy"))
 
 
 class TestEstimation:

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import POLICIES, SimConfig, Simulator, make_policy
+from repro.core import forestall as forestall_module
 from repro.core.forestall import Forestall
 from repro.core.nextref import HAVE_NUMPY, ScanSupport
 from repro.core.hints import HintQuality, degrade_hints, resolve_hint_view
@@ -298,16 +299,17 @@ FIVE_HINTED = (
 
 
 @st.composite
-def long_runs(draw):
-    """Traces long and cold enough that forestall's missing tracker holds
-    >= 128 pending entries, so its vectorized survey and batch run."""
-    cache = draw(st.integers(64, 128))
+def long_runs(draw, caches=(64, 128)):
+    """Traces long and cold enough that forestall's per-disk missing lists
+    pass its walk crossover once caches reach 128 blocks."""
+    cache = draw(st.integers(*caches))
     length = draw(st.integers(300, 1000))
     universe = draw(st.integers(3 * cache, 8 * cache))
     write_share = draw(st.sampled_from([0.0, 0.2, 0.5]))
     # Short compute keeps the run I/O-bound, where prefetch batches are
-    # deep and the vectorized cut matters.
-    compute = draw(st.sampled_from([0.25, 0.5, 2.0]))
+    # deep; 5 ms of compute per 5 ms fetch leaves slack, where long
+    # missing lists seldom fire and forestall's survey runs numpy.
+    compute = draw(st.sampled_from([0.25, 0.5, 2.0, 5.0]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     blocks = [rng.randrange(universe) for _ in range(length)]
     writes = [rng.random() < write_share for _ in blocks] if write_share else None
@@ -319,7 +321,7 @@ def long_runs(draw):
         cache_blocks=cache, access_ms=5.0, sequential_ms=5.0,
         driver_overhead_ms=draw(st.sampled_from([0.0, 0.5, 2.0])),
     )
-    # Forestall's batch size sets where its vectorized batch is cut.
+    # Forestall's batch size sets how deep each triggered disk issues.
     batch = draw(st.sampled_from([None, 1, 2, 4]))
     return trace, draw(st.integers(1, 4)), config, batch
 
@@ -328,19 +330,21 @@ class TestVectorPathsAgreeWholeRun:
     @pytest.mark.skipif(not HAVE_NUMPY, reason="the vectorized path needs numpy")
     @pytest.mark.parametrize("policy", FIVE_HINTED)
     def test_numpy_and_pure_python_runs_are_bit_identical(self, policy):
-        vector_batches = []
-        issue_batches = Forestall._issue_batches
+        numpy_passes = []
+        rank_array = Forestall._rank_array
 
-        def counting(policy, cursor, disks, backstop_disks=(), arrays=None):
-            vector_batches.append(arrays is not None)
-            issue_batches(policy, cursor, disks, backstop_disks, arrays)
+        def counting(policy, count):
+            numpy_passes.append(count)
+            return rank_array(policy, count)
 
         def digest(trace, disks, config, batch):
             kwargs = {"batch_size": batch} if policy == "forestall" else {}
             sim = Simulator(trace, make_policy(policy, **kwargs), disks, config)
             return result_digest(sim.run())
 
-        @given(case=long_runs())
+        caches = (128, 256) if policy == "forestall" else (64, 128)
+
+        @given(case=long_runs(caches))
         @settings(max_examples=60 if policy == "forestall" else 25,
                   deadline=None, suppress_health_check=[HealthCheck.too_slow])
         def check(case):
@@ -349,8 +353,11 @@ class TestVectorPathsAgreeWholeRun:
                 ScanSupport, "build", classmethod(lambda cls, blocks: None)
             ):
                 assert digest(*case) == vectorized
+            if policy == "forestall":
+                with mock.patch.object(forestall_module, "_np", None):
+                    assert digest(*case) == vectorized
 
-        with mock.patch.object(Forestall, "_issue_batches", counting):
+        with mock.patch.object(Forestall, "_rank_array", counting):
             check()
         if policy == "forestall":
-            assert any(vector_batches)
+            assert numpy_passes

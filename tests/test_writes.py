@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import SimConfig, Simulator, make_policy
+from repro.core import forestall as forestall_module
 from repro.core.forestall import Forestall
 from repro.core.nextref import ScanSupport, _np
 from repro.runner import result_digest
@@ -139,11 +140,14 @@ class TestWritesWithPrefetchers:
         result = sim.run()
         assert result.references == len(blocks)
 
-    @pytest.mark.skipif(_np is None, reason="the vectorized path needs numpy")
+    @pytest.mark.skipif(_np is None, reason="the numpy survey pass needs numpy")
     def test_forestall_vector_and_scalar_paths_agree_on_writes(self, monkeypatch):
-        # A block written in place must leave forestall's missing tracker
-        # at once, or the vectorized batch cut (>= 128 pending entries) and
-        # the scalar walk disagree by one fetch.
+        # Forestall's survey finishes per-disk missing lists longer than its
+        # walk crossover with numpy; on a write trace, whose in-place
+        # allocations remove tracker entries, that must give the same run
+        # as the pure-Python walk and as the scan without ScanSupport.
+        # Compute as long as a fetch leaves the lists slack, so they seldom
+        # fire within the walk and the numpy pass runs.
         rng = random.Random(1)
         blocks = [rng.randrange(600) for _ in range(1000)]
         mask = [rng.random() < 0.5 for _ in range(1000)]
@@ -154,23 +158,26 @@ class TestWritesWithPrefetchers:
 
         def digest():
             sim = Simulator(
-                rw_trace(blocks, mask, compute_ms=0.5),
+                rw_trace(blocks, mask, compute_ms=5.0),
                 Forestall(batch_size=1), 2, config,
             )
             return result_digest(sim.run())
 
-        vector_batches = []
-        issue_batches = Forestall._issue_batches
+        numpy_passes = []
+        rank_array = Forestall._rank_array
 
-        def counting(policy, cursor, disks, backstop_disks=(), arrays=None):
-            vector_batches.append(arrays is not None)
-            issue_batches(policy, cursor, disks, backstop_disks, arrays)
+        def counting(policy, count):
+            numpy_passes.append(count)
+            return rank_array(policy, count)
 
-        monkeypatch.setattr(Forestall, "_issue_batches", counting)
-        with_mirror = digest()
-        assert any(vector_batches)
+        monkeypatch.setattr(Forestall, "_rank_array", counting)
+        with_numpy = digest()
+        assert numpy_passes
+        with monkeypatch.context() as patch:
+            patch.setattr(forestall_module, "_np", None)
+            assert digest() == with_numpy
         monkeypatch.setattr(ScanSupport, "build", classmethod(lambda cls, b: None))
-        assert digest() == with_mirror
+        assert digest() == with_numpy
 
     def test_no_writes_means_no_extras(self):
         from tests.conftest import run as plain_run
