@@ -7,7 +7,7 @@ the run while it is in flight:
 
 1. SIGKILLs a forked pool worker mid-cell (the supervisor must retry);
 2. SIGKILLs the *server process itself* once a few results are resident
-   in the content-addressed store (no drain, no cleanup).
+   in the store's journal (no drain, no cleanup).
 
 It then restarts the server over the same store directory and submits
 the identical sweep.  The check passes only if every one of the 14
@@ -29,8 +29,8 @@ Usage::
     PYTHONPATH=src python scripts/chaos_smoke.py --store runs/chaos-store
 
 Exit status: 0 on success, 1 on any divergence or unexpected server
-behaviour.  The store directory (results + append-only log) is left in
-place for artifact upload.
+behaviour.  The store directory (one append-only journal of results) is
+left in place for artifact upload.
 """
 
 import argparse
@@ -242,7 +242,7 @@ def main() -> int:
           "exposition")
 
     # SIGKILL the server itself once a few results are resident — no
-    # drain, no atexit, nothing: the store log is all that survives.
+    # drain, no atexit, nothing: the store's journal is all that survives.
     # On a fast machine the sweep may finish first; the kill still
     # exercises an undrained death and the restart-over-store path.
     while time.monotonic() < deadline and sweeper.is_alive():

@@ -8,6 +8,12 @@ of result digests is exactly the pinned golden set — i.e. interrupting
 and resuming a parallel sweep is bit-identical to an uninterrupted
 serial run.
 
+It then serves the run directory with an in-process
+``SimulationService`` (one worker) over the same golden plan: a run
+directory is a result store (docs/SERVICE.md), so every cell must come
+back ``served == "store"`` with its pinned digest and no cell may be
+dispatched to the pool.
+
 Usage::
 
     PYTHONPATH=src python scripts/runner_smoke.py --journal runs/ci-smoke
@@ -17,6 +23,7 @@ exit.  The journal directory is left in place for artifact upload.
 """
 
 import argparse
+import asyncio
 import os
 import signal
 import subprocess
@@ -30,6 +37,7 @@ for path in (REPO, os.path.join(REPO, "src")):
 
 from repro.runner import Journal, run_plan  # noqa: E402
 from repro.runner.runner import EXIT_INTERRUPTED, EXIT_OK  # noqa: E402
+from repro.svc import ServiceConfig, SimulationService  # noqa: E402
 from tests.test_golden_results import CELLS, EXPECTED, cell_id  # noqa: E402
 from tests.test_runner import golden_plan  # noqa: E402
 
@@ -37,6 +45,24 @@ from tests.test_runner import golden_plan  # noqa: E402
 def child(journal_dir: str, jobs: int) -> int:
     report = run_plan(golden_plan(), journal_dir=journal_dir, jobs=jobs)
     return report.exit_code
+
+
+def serve_run_directory(journal_dir: str):
+    """Serve the golden plan from the run directory: ``(record, served)``
+    per cell and the pool's dispatch count."""
+
+    async def main():
+        service = SimulationService(
+            ServiceConfig(store_dir=journal_dir, jobs=1)
+        )
+        await service.start()
+        try:
+            results = await service.run_cells(golden_plan())
+            return results, service.pool.counters["dispatched"]
+        finally:
+            await service.drain("signal")
+
+    return asyncio.run(main())
 
 
 def parent(journal_dir: str, jobs: int) -> int:
@@ -88,8 +114,28 @@ def parent(journal_dir: str, jobs: int) -> int:
     if failures:
         print(f"smoke: FAIL — {failures}/{len(CELLS)} digests diverged")
         return 1
-    print(f"smoke: OK — all {len(CELLS)} interrupted+resumed digests "
+    print(f"smoke: all {len(CELLS)} interrupted+resumed digests "
           "bit-identical to the pinned serial golden values")
+
+    results, dispatched = serve_run_directory(journal_dir)
+    served = [how for _, how in results]
+    print(f"smoke: service over the run directory served "
+          f"{served.count('store')}/{len(CELLS)} from the store, "
+          f"dispatched {dispatched}")
+    if served != ["store"] * len(CELLS) or dispatched != 0:
+        print("smoke: FAIL — the run directory did not serve as a store")
+        return 1
+    for golden_cell, (record, _) in zip(CELLS, results):
+        key = cell_id(golden_cell)
+        if record["digest"] != EXPECTED[key]:
+            failures += 1
+            print(f"smoke: MISMATCH served {key}: {record['digest']}")
+    if failures:
+        print(f"smoke: FAIL — {failures}/{len(CELLS)} served digests "
+              "diverged")
+        return 1
+    print(f"smoke: OK — the run directory served all {len(CELLS)} golden "
+          "digests from the store with no simulation work")
     return 0
 
 

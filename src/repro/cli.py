@@ -456,12 +456,9 @@ def cmd_serve(args) -> int:
         retry_backoff_s=args.retry_backoff_s,
         breaker_failures=args.breaker_failures,
         breaker_reset_s=args.breaker_reset_s,
-        store_max_entries=args.store_max_entries,
         trace=trace,
         trace_out=args.trace_out,
         limits=limits,
-        rate_limit_per_s=args.rate_limit_per_s,
-        rate_limit_burst=args.rate_limit_burst,
     )
     deadline_s = args.max_minutes * 60.0 if args.max_minutes else None
     print(
@@ -746,10 +743,10 @@ def main(argv=None) -> int:
         "serve",
         help="serve simulations over HTTP with a crash-safe result store",
         description="A long-lived simulation service: cells arrive as "
-        "JSON over HTTP, results are cached in a content-addressed store "
-        "(an identical request is O(1) and bit-identical), identical "
-        "in-flight requests are coalesced, and overload answers 429/503 "
-        "instead of queueing without bound (docs/SERVICE.md).",
+        "JSON over HTTP, results are cached in a run journal indexed by "
+        "config hash (an identical request is O(1) and bit-identical), "
+        "identical in-flight requests are coalesced, and overload answers "
+        "429/503 instead of queueing without bound (docs/SERVICE.md).",
         epilog="exit codes: 75 drained after SIGINT/SIGTERM — restart "
         "resumes from the store; 76 drained at --max-minutes.",
     )
@@ -791,11 +788,6 @@ def main(argv=None) -> int:
     serve_parser.add_argument(
         "--breaker-reset-s", type=float, default=30.0, metavar="S",
         help="open-breaker cooldown before a half-open probe (default 30)",
-    )
-    serve_parser.add_argument(
-        "--store-max-entries", type=int, default=None, metavar="N",
-        help="bound store residency; beyond it the least recently used "
-        "result is evicted (default: unbounded)",
     )
     serve_parser.add_argument(
         "--max-minutes", type=float, default=None, metavar="M",
@@ -858,24 +850,14 @@ def main(argv=None) -> int:
         help="keep-alive requests served per connection before close "
         "(default 100)",
     )
-    serve_parser.add_argument(
-        "--rate-limit-per-s", type=float, default=0.0, metavar="R",
-        help="per-client token-bucket refill rate for compute requests; "
-        "0 disables rate limiting (default 0)",
-    )
-    serve_parser.add_argument(
-        "--rate-limit-burst", type=int, default=10, metavar="N",
-        help="token-bucket depth per client when rate limiting is on "
-        "(default 10)",
-    )
 
     loadgen_parser = sub.add_parser(
         "loadgen",
         help="open-loop load generator for a running service",
         description="Fire a seeded open-loop request plan at a running "
         "repro-sim serve instance: arrivals keep their timetable however "
-        "the server copes, so overload shaping (429 sheds, rate limits, "
-        "priority lanes) is measured instead of masked. The report "
+        "the server copes, so overload shaping (429 sheds, priority "
+        "lanes) is measured instead of masked. The report "
         "carries a plan fingerprint — the same seed replays the same "
         "plan — plus per-kind status counts, latency percentiles, and a "
         "digest ledger that fails the run on any lost/duplicated result "

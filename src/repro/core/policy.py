@@ -191,13 +191,6 @@ class PrefetchPolicy:
             return False
         return victim
 
-    def victim_allows(self, victim: Optional[int], fetch_position: int, cursor: int) -> bool:
-        """Do-no-harm: may ``victim`` be evicted to fetch the block needed at
-        ``fetch_position``?  Free buffers always qualify."""
-        if victim is None:
-            return True
-        return self.sim.index.next_use(victim, cursor) > fetch_position
-
 
 class MissingScanner:
     """Incremental scan for missing blocks in the reference stream.

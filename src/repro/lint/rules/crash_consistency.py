@@ -9,9 +9,9 @@ follows one protocol (docs/FAULTS.md, docs/RUNNER.md, docs/SERVICE.md):
   is not: after a crash the final path exists with truncated or empty
   contents — the exact corruption ``write_json_atomic`` exists to
   prevent.
-* **Append-only logs** — the runner journal and the store log are only
-  ever opened with mode ``"a"``; a truncating open silently discards
-  the crash-recovery history.
+* **Append-only logs** — the run journal (which is also the service's
+  result store) is only ever opened for appending; a truncating open
+  silently discards the crash-recovery history.
 
 SL013 runs the forward dataflow from :mod:`repro.lint.dataflow` over
 every function that renames a file, tracking each write-handle through
@@ -45,7 +45,7 @@ _TRUNCATING_MODES = frozenset({"w", "wb", "wt", "w+", "wb+", "w+b"})
 
 #: Path expressions that denote the append-only crash-recovery logs.
 _APPEND_ONLY = re.compile(
-    r"journal_path|log_path|JOURNAL_NAME|STORE_LOG|journal\.jsonl|log\.jsonl"
+    r"journal_path|log_path|JOURNAL_NAME|journal\.jsonl|log\.jsonl"
 )
 
 _DUMPERS = frozenset({"dump", "write", "writelines"})

@@ -39,7 +39,6 @@ class PolicyContractRule(Rule):
         "on_write_allocate": ("block",),
         "issue": ("block", "victim"),
         "choose_victim": ("cursor", "exclude"),
-        "victim_allows": ("victim", "fetch_position", "cursor"),
     }
     _HOOK_PREFIXES = ("on_", "before_")
     #: Attributes of the simulator that are shared, read-only state.

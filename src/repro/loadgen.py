@@ -4,9 +4,9 @@ Closed-loop clients (send, wait, send again) slow themselves down
 exactly when the server slows down, hiding the overload they are meant
 to measure.  This generator is **open-loop**: arrivals fire on a fixed
 seeded timetable regardless of how the server is coping, so at 10×
-capacity the server's shaping — early 429 sheds, rate limits, lane
-refusals — is visible instead of masked (the acceptance criterion in
-ISSUE 10 and the soak harness both depend on this).
+capacity the server's shaping — early 429 sheds, lane refusals — is
+visible instead of masked (the service's overload criteria and the soak
+harness both depend on this).
 
 Everything is deterministic from ``seed``: inter-arrival gaps
 (exponential), the request mix, spec choice, and the optional

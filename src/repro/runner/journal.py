@@ -6,7 +6,8 @@ A run directory holds two files:
     One JSON record per line, appended and fsynced as each cell finishes
     (``{"v": 1, "kind": "cell", "hash": …, "status": "ok"|"failed", …}``).
     A run killed at any instant leaves at worst one truncated final line,
-    which the loader skips — every fully written record survives.
+    which the loader skips — every fully written record survives, and the
+    next append starts a fresh line rather than extending the fragment.
 
 ``manifest.json``
     Plan-level metadata (plan hash, cell count, creating argv, status),
@@ -15,7 +16,9 @@ A run directory holds two files:
 
 ``--resume`` keys on the cell **config hash** (see
 :mod:`repro.runner.plan`): completed cells are skipped, failed or missing
-cells re-run.  See ``docs/RUNNER.md`` for the full schema.
+cells re-run.  The service's result store (:mod:`repro.svc.store`) is
+the same directory read by byte offset, so one run directory serves
+both.  See ``docs/RUNNER.md`` for the full schema.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, TextIO
+from typing import IO, TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:
     from repro.obs import MetricsRegistry
@@ -39,8 +42,8 @@ def sweep_stale_tmp(directory: str) -> int:
     """Remove orphaned ``.*.tmp`` files left by a crash mid-
     :func:`write_json_atomic` (killed between tmp-write and ``os.replace``).
 
-    Callers invoke this when they *open* a run directory or store shard —
-    never concurrently with a live writer, which is the same single-writer
+    Callers invoke this when they *open* a run directory — never
+    concurrently with a live writer, which is the same single-writer
     assumption the fixed tmp name already makes.  Returns the number of
     stale files removed.
     """
@@ -106,7 +109,7 @@ class Journal:
         self.directory = directory
         self.journal_path = os.path.join(directory, JOURNAL_NAME)
         self.manifest_path = os.path.join(directory, MANIFEST_NAME)
-        self._handle: Optional[TextIO] = None
+        self._handle: Optional[IO[bytes]] = None
         #: Optional registry: each append observes its fsync latency into
         #: ``runner.journal_fsync_ms`` (a durability SLI — the fsync is
         #: the journal's whole crash-safety story, so a slow device shows
@@ -116,11 +119,12 @@ class Journal:
         #: Orphaned ``.*.tmp`` files removed when this journal first wrote
         #: to its directory (a crash between tmp-write and rename).
         self.swept_tmp = 0
-        #: Malformed lines skipped by the most recent :meth:`records` read.
-        #: A torn *final* line is the expected crash shape, but resume can
-        #: also append over a torn tail, leaving garbage mid-file — both
-        #: are skipped and counted here (runner metrics:
-        #: ``runner.journal_skipped_lines``).
+        #: Malformed lines skipped by the most recent :meth:`records` or
+        #: :meth:`completed_offsets` read.  A torn *final* line is the
+        #: expected crash shape; once a later append has started a fresh
+        #: line after it, the fragment stays behind as a malformed
+        #: mid-file line — both are skipped and counted here (runner
+        #: metrics: ``runner.journal_skipped_lines``).
         self.skipped_lines = 0
 
     def _open_directory(self) -> None:
@@ -148,26 +152,40 @@ class Journal:
 
     # -- journal ----------------------------------------------------------
 
-    def append(self, record: Dict[str, Any]) -> None:
+    def append(self, record: Dict[str, Any]) -> int:
         """Append one record and fsync before returning: once ``append``
-        returns, the record survives any crash."""
+        returns, the record survives any crash.  Returns the byte offset
+        at which the record's line starts (see :meth:`read_at`).
+
+        A journal whose last byte is not a newline ends in a torn record
+        (a crash mid-append, or a tear from outside); the new record
+        starts on a fresh line after it.  Appending onto the fragment
+        would glue the two into one malformed line, and the loader would
+        skip the new record with it.
+        """
         record = dict(record)
         record.setdefault("v", SCHEMA_VERSION)
         if self._handle is None:
             self._open_directory()
-            self._handle = open(self.journal_path, "a")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
+            self._handle = open(self.journal_path, "a+b")
+        handle = self._handle
+        offset = handle.seek(0, os.SEEK_END)
+        if offset and os.pread(handle.fileno(), 1, offset - 1) != b"\n":
+            handle.write(b"\n")
+            offset += 1
+        handle.write(json.dumps(record, sort_keys=True).encode() + b"\n")
+        handle.flush()
         if self._metrics is None:
-            os.fsync(self._handle.fileno())
+            os.fsync(handle.fileno())
         else:
             fsync_start = time.perf_counter()
-            os.fsync(self._handle.fileno())
+            os.fsync(handle.fileno())
             from repro.obs.metrics import FSYNC_BUCKETS_MS
 
             self._metrics.histogram(
                 "runner.journal_fsync_ms", FSYNC_BUCKETS_MS
             ).observe((time.perf_counter() - fsync_start) * 1000.0)
+        return offset
 
     def close(self) -> None:
         if self._handle is not None:
@@ -178,9 +196,9 @@ class Journal:
         """Every fully written record, oldest first.
 
         Malformed lines are skipped, not fatal, wherever they appear: a
-        crash mid-append leaves a torn *final* line, and a resumed run
-        appending after such a crash turns that torn tail into a malformed
-        *mid-file* line.  Each call recounts the skips into
+        crash mid-append leaves a torn *final* line, which stays behind
+        as a malformed *mid-file* line once a later append has started a
+        fresh line.  Each call recounts the skips into
         :attr:`skipped_lines`.
         """
         records: List[Dict[str, Any]] = []
@@ -207,6 +225,50 @@ class Journal:
             if record.get("kind") == "cell" and record.get("status") == "ok":
                 done[record["hash"]] = record
         return done
+
+    def completed_offsets(self) -> Dict[str, int]:
+        """Byte offset of the latest successful record per config hash:
+        :meth:`completed` as an index for :meth:`read_at`, built in one
+        scan.  Skips are recounted into :attr:`skipped_lines`."""
+        offsets: Dict[str, int] = {}
+        skipped = 0
+        offset = 0
+        try:
+            with open(self.journal_path, "rb") as handle:
+                for line in handle:
+                    start = offset
+                    offset += len(line)
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except ValueError:
+                        skipped += 1
+                        continue
+                    if (
+                        isinstance(record, dict)
+                        and record.get("kind") == "cell"
+                        and record.get("status") == "ok"
+                        and isinstance(record.get("hash"), str)
+                    ):
+                        offsets[record["hash"]] = start
+        except OSError:
+            pass
+        self.skipped_lines = skipped
+        return offsets
+
+    def read_at(self, offset: int) -> Optional[Dict[str, Any]]:
+        """The record whose line starts at byte ``offset``, or None when
+        that line is missing or malformed (torn, or overwritten from
+        outside since the offset was taken)."""
+        try:
+            with open(self.journal_path, "rb") as handle:
+                handle.seek(offset)
+                line = handle.readline()
+            record = json.loads(line)
+        except (OSError, ValueError):
+            return None
+        return record if isinstance(record, dict) else None
 
     def failures(self) -> List[Dict[str, Any]]:
         """Failure records whose cells never subsequently succeeded."""

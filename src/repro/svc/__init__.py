@@ -1,11 +1,11 @@
 """repro.svc: a crash-safe simulation service over the supervised runner.
 
 The service turns the batch runner into a long-lived, chaos-tested
-daemon: cells arrive over HTTP/JSON, are deduplicated against a sharded
-content-addressed :class:`ResultStore` (a second identical request is
-O(1) and bit-identical), coalesced while in flight, guarded by admission
-control and a circuit breaker, and drained gracefully on signals using
-the runner's resumable exit codes.  ``repro.svc.chaos`` provides the
+daemon: cells arrive over HTTP/JSON, are deduplicated against a
+:class:`ResultStore` — a run journal indexed by config hash, so a second
+identical request is O(1) and bit-identical — coalesced while in flight,
+guarded by admission control and a circuit breaker, and drained
+gracefully on signals using the runner's resumable exit codes.  ``repro.svc.chaos`` provides the
 fault-injection hooks the chaos test suite drives.
 
 See ``docs/SERVICE.md`` for the API surface, the store's durability
@@ -36,7 +36,6 @@ from repro.svc.netchaos import (
     load_schedule,
     paced_write,
 )
-from repro.svc.ratelimit import PeerRateLimiter
 from repro.svc.service import (
     SERVED_COALESCED,
     SERVED_COMPUTED,
@@ -49,7 +48,7 @@ from repro.svc.service import (
     cell_from_spec,
 )
 from repro.svc.singleflight import SingleFlight
-from repro.svc.store import STORE_LOG_NAME, ResultStore
+from repro.svc.store import ResultStore
 from repro.svc.top import render_top, run_top
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "NetChaosSchedule",
     "load_schedule",
     "paced_write",
-    "PeerRateLimiter",
     "SERVED_STORE",
     "SERVED_COMPUTED",
     "SERVED_COALESCED",
@@ -87,7 +85,6 @@ __all__ = [
     "SpecError",
     "cell_from_spec",
     "SingleFlight",
-    "STORE_LOG_NAME",
     "ResultStore",
     "render_top",
     "run_top",

@@ -121,15 +121,6 @@ class AdmissionController:
         self._gauge()
         return True, "ok", 0.0
 
-    def try_acquire(self) -> bool:
-        """Claim one slot; False means the queue is full (HTTP 429).
-
-        The original deadline-blind entry point, kept for callers that
-        have no deadline to project against.
-        """
-        admitted, _, _ = self.admit(0.0, 1)
-        return admitted
-
     def release(self) -> None:
         """A cell reached a terminal state (ok, failed, or cancelled)."""
         if self.in_system > 0:

@@ -7,8 +7,8 @@ control over where a process dies or where a write fails:
 
 * ``REPRO_CHAOS_EXIT_AT=<point>`` — the process calls ``os._exit(137)``
   the first time execution reaches :func:`crash_point` with that name,
-  simulating SIGKILL at exactly that instant (e.g. between the store's
-  log append and its atomic result rename).
+  simulating SIGKILL at exactly that instant (e.g. just before or just
+  after the store's fsynced journal append).
 * ``REPRO_CHAOS_RAISE_AT=<point>`` — :func:`crash_point` raises
   ``OSError(ENOSPC)`` at that point, simulating a full run directory;
   unlike the exit, this repeats on every hit so the caller's error
@@ -19,8 +19,9 @@ them for a *subprocess* without touching the parent.  When neither
 variable is set the check is two dict lookups — cheap at cell
 granularity (the points sit on store writes, not simulation hot paths).
 
-The named points live in :mod:`repro.svc.store`; see ``docs/SERVICE.md``
-for the catalogue and the invariants the harness asserts around each.
+The named points, ``store.put.pre-log`` and ``store.put.post-log``, live
+in :mod:`repro.svc.store`; see ``docs/SERVICE.md`` for the catalogue and
+the invariants the harness asserts around each.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ server is bounded by a :class:`~repro.svc.limits.ProtocolLimits`:
 - compute requests (``POST /v1/cells``, ``/v1/sweeps``) beyond the
   priority lane (``max_connections - reserved_read_connections``) →
   **429**, so O(1) cached reads are never starved by compute traffic;
-- per-peer token-bucket rate limiting (opt-in) → **429**;
 - a ``/v1/events`` consumer that stops reading → bounded write buffer,
   drain deadline, then ``transport.abort()`` — a stalled reader cannot
   grow server memory.
@@ -32,7 +31,7 @@ Routes (all JSON):
 ``GET /v1/healthz``
     ``200 {"ok": true}`` — or ``503`` once draining.
 ``GET /v1/status``
-    Breaker, admission, rate-limiter, pool, and store status.
+    Breaker, admission, pool, store, and HTTP-limit status.
 ``GET /v1/metrics``
     Content-negotiated: the full :class:`repro.obs.MetricsRegistry`
     JSON export by default (unchanged), or Prometheus text exposition
@@ -43,7 +42,7 @@ Routes (all JSON):
     (:meth:`repro.obs.svc.ServiceTracer.chrome_trace`); ``404`` unless
     the service was started with tracing on.
 ``GET /v1/store``
-    Store stats alone (hit ratio, residency, evictions).
+    Store stats alone (hit ratio, residency, corrupt lines).
 ``GET /v1/results/<config-hash>``
     The stored record, or ``404`` on a miss (never triggers compute).
 ``POST /v1/cells``
@@ -113,8 +112,8 @@ _ROUTE_LABELS = {
     "/v1/trace": "trace",
 }
 
-#: Routes that consume simulation capacity — the priority-lane cap and
-#: the per-peer rate limiter apply to these only; reads always pass.
+#: Routes that consume simulation capacity — the priority-lane cap
+#: applies to these only; reads always pass.
 _COMPUTE_ROUTES = frozenset({"/v1/cells", "/v1/sweeps"})
 
 
@@ -219,14 +218,6 @@ def _with_corr(
     headers = dict(extra or {})
     headers.setdefault("X-Correlation-Id", corr_id)
     return headers
-
-
-def _peer_of(writer: asyncio.StreamWriter) -> str:
-    """The peer's address as a bounded string key (rate-limit bucket)."""
-    peer = writer.get_extra_info("peername")
-    if isinstance(peer, (tuple, list)) and peer:
-        return str(peer[0])
-    return str(peer) if peer else "unknown"
 
 
 async def _read_request(
@@ -482,7 +473,7 @@ class ServiceServer:
         lane_claimed = False
         try:
             if method == "POST" and route in _COMPUTE_ROUTES:
-                self._check_compute_request(writer, corr_id)
+                self._check_compute_request()
                 self.compute_in_flight += 1
                 lane_claimed = True
             try:
@@ -520,25 +511,14 @@ class ServiceServer:
         )
         return keep_alive
 
-    def _check_compute_request(
-        self, writer: asyncio.StreamWriter, corr_id: str
-    ) -> None:
-        """Priority lane + per-peer rate limit for compute routes.
+    def _check_compute_request(self) -> None:
+        """The priority lane for compute routes.
 
         Read routes never pass through here: however saturated the
         compute lane is, `/v1/results` and the health/metrics surface
         keep answering — the starvation-freedom half of overload
         control.
         """
-        admitted, retry_after_s = self.service.rate_limiter.check(
-            _peer_of(writer)
-        )
-        if not admitted:
-            self._count_limited("rate")
-            raise _HttpError(
-                429, "per-client rate limit exceeded",
-                {"Retry-After": str(max(1, round(retry_after_s)))},
-            )
         if self.compute_in_flight >= self.limits.compute_connections:
             self._count_limited("lane")
             raise _HttpError(
@@ -580,8 +560,8 @@ class ServiceServer:
             return 200, service.store.stats(), None
         if route.startswith("/v1/results/") and method == "GET":
             config_hash = route[len("/v1/results/"):]
-            # Same deliberate on-loop store read as run_cell: one small
-            # json.load, and on-loop serialization is the store's only
+            # Same deliberate on-loop store read as run_cell: one journal
+            # line, and on-loop serialization is the store's only
             # concurrency control (see SimulationService.run_cell).
             record = service.store.get(config_hash)  # simlint: disable=SL010
             if record is None:

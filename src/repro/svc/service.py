@@ -58,6 +58,7 @@ from repro.obs.svc import (
     maybe_span,
     new_correlation_id,
 )
+from repro.runner.journal import SCHEMA_VERSION
 from repro.runner.plan import Cell
 from repro.runner.pool import PoolStatus, SupervisedPool
 from repro.runner.runner import EXIT_DEADLINE, EXIT_INTERRUPTED
@@ -65,7 +66,6 @@ from repro.runner.execute import sim_config_for, validate_names
 from repro.svc.admission import AdmissionController
 from repro.svc.breaker import CircuitBreaker
 from repro.svc.limits import ProtocolLimits
-from repro.svc.ratelimit import PeerRateLimiter
 from repro.svc.singleflight import SingleFlight
 from repro.svc.store import ResultStore
 
@@ -225,7 +225,6 @@ class ServiceConfig:
     retry_backoff_s: float = 0.5
     breaker_failures: int = 5
     breaker_reset_s: float = 30.0
-    store_max_entries: Optional[int] = None
     #: Ring-buffer capacity of the progress event stream.
     event_buffer: int = 1024
     #: Request tracing (``repro.obs.svc`` spans + per-request simulation
@@ -238,10 +237,6 @@ class ServiceConfig:
     #: connection caps, priority-lane reservation) — see
     #: :mod:`repro.svc.limits` and docs/SERVICE.md.
     limits: ProtocolLimits = field(default_factory=ProtocolLimits)
-    #: Per-peer token-bucket rate for compute requests; 0 disables.
-    rate_limit_per_s: float = 0.0
-    #: Bucket depth per peer when rate limiting is on.
-    rate_limit_burst: int = 10
 
 
 class SimulationService:
@@ -256,11 +251,7 @@ class SimulationService:
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._clock = clock
-        self.store = ResultStore(
-            config.store_dir,
-            max_entries=config.store_max_entries,
-            metrics=self.metrics,
-        )
+        self.store = ResultStore(config.store_dir, metrics=self.metrics)
         self.breaker = CircuitBreaker(
             failure_threshold=config.breaker_failures,
             reset_timeout_s=config.breaker_reset_s,
@@ -269,9 +260,6 @@ class SimulationService:
         )
         self.admission = AdmissionController(
             config.queue_limit, metrics=self.metrics
-        )
-        self.rate_limiter = PeerRateLimiter(
-            config.rate_limit_per_s, config.rate_limit_burst, clock=clock
         )
         self.flights = SingleFlight()
         self.pool = SupervisedPool(
@@ -372,10 +360,10 @@ class SimulationService:
         failure = record.get("failure")
         corr_id = record.get("corr_id")
         state_before = self.breaker.state
-        # Waiters receive the journal-shaped record (no live result
-        # object, no correlation/telemetry transport fields) so computed
-        # responses serialize — and match what a later store hit returns,
-        # byte for byte.
+        # Waiters receive the journal record (no live result object, no
+        # correlation/telemetry transport fields) so computed responses
+        # serialize — and match what a later store hit returns, byte for
+        # byte.
         record = _storable(record)
         if record["status"] == "ok":
             self.breaker.record_success()
@@ -455,8 +443,8 @@ class SimulationService:
         with maybe_span(
             self.tracer, SPAN_STORE_GET, corr_id, hash=config_hash
         ):
-            # Deliberately on-loop: a store hit is one open()+json.load
-            # of a small record — microseconds against a multi-second
+            # Deliberately on-loop: a store hit is one seek and one line
+            # read of a small record — microseconds against a multi-second
             # simulate, and serializing hits on the loop is what makes
             # the hit path bit-identical to the journal record without
             # locking the store.
@@ -706,7 +694,6 @@ class SimulationService:
             "drain_reason": self.drain_reason,
             "breaker": self.breaker.status(),
             "admission": self.admission.status(),
-            "rate_limiter": self.rate_limiter.status(),
             "pool": {
                 "jobs": self.pool.jobs,
                 "queue_depth": self.pool.queue_depth(),
@@ -745,10 +732,12 @@ _TRANSPORT_FIELDS = frozenset({"result_obj", "telemetry", "corr_id"})
 
 
 def _storable(record: Dict[str, Any]) -> Dict[str, Any]:
-    """The journal-shaped subset of a record that belongs in the store
-    (drop the live result object and per-request transport fields; the
-    serialized form is lossless)."""
-    return {k: v for k, v in record.items() if k not in _TRANSPORT_FIELDS}
+    """The record exactly as the store's journal writes it: the live
+    result object and per-request transport fields dropped (the
+    serialized form is lossless), the schema version added."""
+    stored = {k: v for k, v in record.items() if k not in _TRANSPORT_FIELDS}
+    stored.setdefault("v", SCHEMA_VERSION)
+    return stored
 
 
 def _event_for(

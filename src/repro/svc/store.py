@@ -1,146 +1,66 @@
-"""Sharded, content-addressed result store — the service's cache.
+"""The service's result store: a run journal read by config hash.
 
 The store maps a cell's **config hash** to its completed journal record
 (result, digest, wall time).  It is deliberately shaped like the caches
-this repository simulates: requests *hit* or *miss*, capacity pressure
-*evicts* by recency, and the hit ratio is a first-class reported metric —
-the paper's own subject matter, dogfooded (see ``docs/SERVICE.md``).
+this repository simulates: requests *hit* or *miss*, and the hit ratio
+is a first-class reported metric — the paper's own subject matter,
+dogfooded (see ``docs/SERVICE.md``).
 
-Durability model (the part chaos testing leans on):
+A store directory is a run directory (``docs/RUNNER.md``): the results
+are the records of ``<root>/journal.jsonl``, appended and fsynced by
+:class:`repro.runner.Journal`.  The store adds an in-memory index from
+each config hash to the byte offset of its latest successful record,
+rebuilt by one scan on open.  So a sweep's run directory can be served,
+and a service store resumed by ``run_plan(..., resume=True)``.
 
-* Results live at ``<root>/<hh>/<hash>.json`` (two-hex-character shard
-  directories) and are written with
-  :func:`repro.runner.journal.write_json_atomic` — tmp file, fsync,
-  ``os.replace`` — so a reader can never observe a torn result file that
-  *we* wrote.  A file torn by outside forces (the chaos harness, a bad
-  disk) fails JSON validation on read and is quarantined into a miss.
-* An append-only fsynced ``store.log.jsonl`` records every ``put`` (with
-  its digest) and ``evict`` before the result file changes.  The log is
-  the authority the chaos invariants are checked against: every digest
-  ever recorded for a hash must be identical, and a resident file must
-  match its logged digest.  ``touch`` entries (hit recency) are appended
-  *without* fsync — losing recency can cost a future hit, never a result.
-* Opening a store sweeps orphaned ``.*.tmp`` files (a crash between
-  tmp-write and rename) and skips malformed log lines, counting both.
+Durability is the journal's: ``put`` is one append that returns only
+after its line is fsynced, and a crash leaves at worst one torn final
+line, which the journal never appends onto.  ``get`` reads and checks
+the one indexed line; a line that fails the check (torn or overwritten
+from outside: the chaos harness, a bad disk) is a *corrupt* miss that
+leaves the index, and the recompute appends a fresh record.
 
-Crash points (:func:`repro.svc.chaos.crash_point`) bracket the dangerous
-window: ``store.put.pre-log`` → ``store.put.post-log`` (logged but not
-yet renamed) → ``store.put.post-write``.
+Crash points (:func:`repro.svc.chaos.crash_point`) bracket the append:
+``store.put.pre-log`` → ``store.put.post-log``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, TextIO
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 if TYPE_CHECKING:
     from repro.obs import MetricsRegistry
 
-from repro.runner.journal import sweep_stale_tmp, write_json_atomic
+from repro.runner.journal import Journal
 from repro.svc.chaos import crash_point
-
-STORE_LOG_NAME = "store.log.jsonl"
-
-#: Store log schema version.
-LOG_VERSION = 1
 
 
 class ResultStore:
-    """Content-addressed cache of completed cell records.
+    """Completed cell records by config hash, over one run journal.
 
     ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`; the
-    store mirrors its counters there under ``svc.store.*``.
-    ``max_entries`` bounds residency: puts beyond it evict the least
-    recently *used* entry (LRU over puts and hits), mirroring the cache
-    replacement the simulator itself studies.
+    store mirrors its counters there under ``svc.store.*``, and the
+    journal observes each append's fsync into ``runner.journal_fsync_ms``.
+    Single writer: one process appends to a store directory at a time.
     """
 
     def __init__(
-        self,
-        root: str,
-        max_entries: Optional[int] = None,
-        metrics: Optional["MetricsRegistry"] = None,
+        self, root: str, metrics: Optional["MetricsRegistry"] = None
     ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.root = root
-        self.max_entries = max_entries
         self.metrics = metrics
-        self.log_path = os.path.join(root, STORE_LOG_NAME)
-        self._log_handle: Optional[TextIO] = None
+        self.journal = Journal(root, metrics=metrics)
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.put_dedup = 0
-        self.evictions = 0
         self.corrupt = 0
-        self.skipped_log_lines = 0
-        self.swept_tmp = 0
-        #: Resident hashes in least-recently-used-first order.
-        self._lru: "OrderedDict[str, str]" = OrderedDict()  # hash -> digest
-        self._open()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _open(self) -> None:
-        os.makedirs(self.root, exist_ok=True)
-        self.swept_tmp += sweep_stale_tmp(self.root)
-        for name in sorted(os.listdir(self.root)):
-            shard = os.path.join(self.root, name)
-            if len(name) == 2 and os.path.isdir(shard):
-                self.swept_tmp += sweep_stale_tmp(shard)
-        self._inc("svc.store.swept_tmp", self.swept_tmp)
-        self._recover()
-
-    def _recover(self) -> None:
-        """Rebuild residency and recency from the log plus the shard
-        directories, dropping log entries whose files never made it
-        (crash between log append and rename — the recompute is free to
-        happen again; the logged digest pins what it must produce)."""
-        logged_digest: Dict[str, str] = {}
-        order: "OrderedDict[str, None]" = OrderedDict()
-        for entry in self.read_log():
-            op = entry.get("op")
-            entry_hash = entry.get("hash")
-            if not isinstance(entry_hash, str):
-                continue
-            if op == "put":
-                digest = entry.get("digest")
-                if isinstance(digest, str):
-                    logged_digest[entry_hash] = digest
-                order[entry_hash] = None
-                order.move_to_end(entry_hash)
-            elif op == "touch":
-                if entry_hash in order:
-                    order.move_to_end(entry_hash)
-            elif op == "evict":
-                order.pop(entry_hash, None)
-        resident: Dict[str, str] = {}
-        for name in sorted(os.listdir(self.root)):
-            shard = os.path.join(self.root, name)
-            if not (len(name) == 2 and os.path.isdir(shard)):
-                continue
-            for filename in sorted(os.listdir(shard)):
-                if not filename.endswith(".json"):
-                    continue
-                resident[filename[: -len(".json")]] = ""
-        self._lru = OrderedDict()
-        # Files with no surviving log entry (log lost or truncated) come
-        # first — oldest, so capacity pressure reclaims them first.
-        for entry_hash in resident:
-            if entry_hash not in order:
-                self._lru[entry_hash] = logged_digest.get(entry_hash, "")
-        for entry_hash in order:
-            if entry_hash in resident:
-                self._lru[entry_hash] = logged_digest.get(entry_hash, "")
+        #: Config hash -> byte offset of its latest ``status == "ok"``
+        #: record in the journal.
+        self._offsets: Dict[str, int] = self.journal.completed_offsets()
 
     def close(self) -> None:
-        if self._log_handle is not None:
-            self._log_handle.close()
-            self._log_handle = None
+        self.journal.close()
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -148,119 +68,46 @@ class ResultStore:
     def __exit__(self, *_exc: object) -> None:
         self.close()
 
-    # -- internals ---------------------------------------------------------
+    def _inc(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.inc(name)
 
-    def _inc(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None and amount:
-            self.metrics.inc(name, amount)
-
-    def path_for(self, config_hash: str) -> str:
-        """The sharded result path for ``config_hash``."""
-        return os.path.join(
-            self.root, config_hash[:2], f"{config_hash}.json"
-        )
-
-    def _append_log(self, entry: Dict[str, Any], fsync: bool) -> None:
-        entry = dict(entry)
-        entry.setdefault("v", LOG_VERSION)
-        if self._log_handle is None:
-            self._log_handle = open(self.log_path, "a")
-        self._log_handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._log_handle.flush()
-        if fsync:
-            if self.metrics is None:
-                os.fsync(self._log_handle.fileno())
-            else:
-                fsync_start = time.perf_counter()
-                os.fsync(self._log_handle.fileno())
-                from repro.obs.metrics import FSYNC_BUCKETS_MS
-
-                self.metrics.histogram(
-                    "svc.store.fsync_ms", FSYNC_BUCKETS_MS
-                ).observe((time.perf_counter() - fsync_start) * 1000.0)
-
-    def read_log(self) -> List[Dict[str, Any]]:
-        """Every fully written log entry; malformed lines (torn tails,
-        chaos tears) are skipped and recounted into
-        :attr:`skipped_log_lines`."""
-        entries: List[Dict[str, Any]] = []
-        skipped = 0
-        try:
-            with open(self.log_path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entries.append(json.loads(line))
-                    except json.JSONDecodeError:
-                        skipped += 1
-        except OSError:
-            pass
-        self.skipped_log_lines = skipped
-        return entries
-
-    def _quarantine(self, config_hash: str, path: str) -> None:
-        """A result file that fails validation is removed (the log still
-        pins the digest any recompute must reproduce)."""
+    def _read(self, config_hash: str) -> Optional[Dict[str, Any]]:
+        """The indexed record for ``config_hash`` if it checks out; a
+        line that does not is dropped from the index as corrupt."""
+        offset = self._offsets.get(config_hash)
+        if offset is None:
+            return None
+        record = self.journal.read_at(offset)
+        if (
+            record is not None
+            and record.get("hash") == config_hash
+            and record.get("status") == "ok"
+            and isinstance(record.get("digest"), str)
+        ):
+            return record
+        del self._offsets[config_hash]
         self.corrupt += 1
         self._inc("svc.store.corrupt")
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-        self._lru.pop(config_hash, None)
+        return None
 
     # -- the cache surface -------------------------------------------------
 
     def get(self, config_hash: str) -> Optional[Dict[str, Any]]:
-        """The stored record for ``config_hash``, or None on a miss.
-
-        A file that exists but fails validation (torn by the chaos
-        harness or a dying disk) counts as corrupt *and* a miss: it is
-        quarantined so the caller recomputes, and the recompute's digest
-        is checked against the log by the chaos invariants.
-        """
-        path = self.path_for(config_hash)
-        try:
-            with open(path) as handle:
-                raw = handle.read()
-        except OSError:
-            self.misses += 1
-            self._inc("svc.store.misses")
-            return None
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError:
-            self._quarantine(config_hash, path)
-            self.misses += 1
-            self._inc("svc.store.misses")
-            return None
-        if (
-            not isinstance(record, dict)
-            or record.get("hash") != config_hash
-            or record.get("status") != "ok"
-            or not isinstance(record.get("digest"), str)
-        ):
-            self._quarantine(config_hash, path)
+        """The stored record for ``config_hash``, or None on a miss."""
+        record = self._read(config_hash)
+        if record is None:
             self.misses += 1
             self._inc("svc.store.misses")
             return None
         self.hits += 1
         self._inc("svc.store.hits")
-        if config_hash in self._lru:
-            self._lru.move_to_end(config_hash)
-        else:
-            self._lru[config_hash] = record["digest"]
-        # Recency is advisory: no fsync — losing it can cost a future
-        # hit, never a result.
-        self._append_log({"op": "touch", "hash": config_hash}, fsync=False)
         return record
 
     def put(self, config_hash: str, record: Dict[str, Any]) -> bool:
-        """Store a completed record; returns False when an identical
-        entry is already resident (idempotent re-put after a crash
-        recompute records nothing new)."""
+        """Append a completed record, fsynced before returning; False
+        when a record with the same digest is already stored (an
+        idempotent re-put records nothing new)."""
         if record.get("status") != "ok" or not isinstance(
             record.get("digest"), str
         ):
@@ -272,51 +119,26 @@ class ResultStore:
             raise ValueError(
                 f"record hash {record.get('hash')!r} != {config_hash!r}"
             )
-        path = self.path_for(config_hash)
-        if self._lru.get(config_hash) == record["digest"] and os.path.exists(
-            path
-        ):
+        stored = self._read(config_hash)
+        if stored is not None and stored["digest"] == record["digest"]:
             self.put_dedup += 1
             self._inc("svc.store.put_dedup")
             return False
         crash_point("store.put.pre-log")
-        self._append_log(
-            {"op": "put", "hash": config_hash, "digest": record["digest"]},
-            fsync=True,
-        )
-        # The window a torn-down process is most likely to expose: the
-        # log pins the digest, the result file does not exist yet.
+        offset = self.journal.append(record)
         crash_point("store.put.post-log")
-        write_json_atomic(path, record)
-        crash_point("store.put.post-write")
+        self._offsets[config_hash] = offset
         self.writes += 1
         self._inc("svc.store.writes")
-        self._lru[config_hash] = record["digest"]
-        self._lru.move_to_end(config_hash)
-        self._evict_over_capacity()
         return True
-
-    def _evict_over_capacity(self) -> None:
-        if self.max_entries is None:
-            return
-        while len(self._lru) > self.max_entries:
-            victim, _digest = next(iter(self._lru.items()))
-            self._lru.pop(victim)
-            self._append_log({"op": "evict", "hash": victim}, fsync=True)
-            try:
-                os.unlink(self.path_for(victim))
-            except OSError:
-                pass
-            self.evictions += 1
-            self._inc("svc.store.evictions")
 
     # -- reporting ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self._offsets)
 
     def __contains__(self, config_hash: str) -> bool:
-        return config_hash in self._lru
+        return config_hash in self._offsets
 
     @property
     def hit_ratio(self) -> float:
@@ -327,15 +149,12 @@ class ResultStore:
 
     def stats(self) -> Dict[str, Any]:
         return {
-            "resident": len(self._lru),
-            "max_entries": self.max_entries,
+            "resident": len(self._offsets),
             "hits": self.hits,
             "misses": self.misses,
             "hit_ratio": round(self.hit_ratio, 6),
             "writes": self.writes,
             "put_dedup": self.put_dedup,
-            "evictions": self.evictions,
             "corrupt": self.corrupt,
-            "skipped_log_lines": self.skipped_log_lines,
-            "swept_tmp": self.swept_tmp,
+            "skipped_log_lines": self.journal.skipped_lines,
         }

@@ -130,15 +130,11 @@ def render_top(status: Dict[str, Any], metrics: Dict[str, Any],
 
     store = status.get("store", {})
     hit_ratio = float(store.get("hit_ratio", 0.0))
-    resident = store.get("resident", 0)
-    max_entries = store.get("max_entries")
-    capacity = f"{resident}/{max_entries}" if max_entries else f"{resident}"
     lines.append(
         f"store: [{_bar(hit_ratio, bar_width)}]"
         f" {hit_ratio * 100.0:5.1f}% hits"
-        f"   resident {capacity}"
-        f"   evicted {store.get('evictions', 0)}"
-        f" corrupt {store.get('corrupt', 0)}"
+        f"   resident {store.get('resident', 0)}"
+        f"   corrupt {store.get('corrupt', 0)}"
     )
 
     requests = status.get("requests", {})
@@ -161,7 +157,7 @@ def render_top(status: Dict[str, Any], metrics: Dict[str, Any],
             f" p95={_fmt_ms(_quantile(request_ms, 0.95))}"
             f" max={_fmt_ms(request_ms.get('max'))}"
         )
-    fsync = histograms.get("svc.store.fsync_ms")
+    fsync = histograms.get("runner.journal_fsync_ms")
     if isinstance(fsync, dict) and fsync.get("count"):
         lines.append(
             f"store fsync: n={fsync['count']}"

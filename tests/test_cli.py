@@ -155,6 +155,18 @@ class TestParsing:
             main([])
 
 
+class TestServeFlags:
+    @pytest.mark.parametrize("flag", [
+        "--store-max-entries", "--rate-limit-per-s", "--rate-limit-burst",
+    ])
+    def test_removed_store_and_rate_flags_are_refused(self, flag, capsys):
+        # The store is one append-only journal (no LRU bound) and the
+        # per-peer rate limiter is gone: the flags are unknown options.
+        with pytest.raises(SystemExit):
+            main(["serve", flag, "1"])
+        assert flag in capsys.readouterr().err
+
+
 class TestFigure:
     def test_figure_renders_bars(self, capsys):
         code = main([

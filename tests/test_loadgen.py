@@ -199,17 +199,21 @@ class TestLiveRun:
 
     def test_shed_statuses_surface_in_the_report(self, test_kinds, tmp_path):
         async def scenario(service, port):
+            specs = [
+                {"trace": "ld", "policy": "demand", "disks": 1,
+                 "kind": "sleep", "params": {"sleep_s": 0.5, "n": n}}
+                for n in range(32)
+            ]
             config = LoadgenConfig(
                 port=port, rate_per_s=60.0, duration_s=1.0, seed=2,
-                mix={"cells": 1.0}, specs=[dict(INSTANT_SPEC)],
+                mix={"cells": 1.0}, specs=specs,
             )
             report = await run_loadgen(config)
-            # burst=1 and no refill to speak of: nearly every compute
-            # request after the first is rate-limited with 429.
+            # One admission slot, each cell holding it for 0.5 s: nearly
+            # every distinct compute request is refused 429.
             assert report["shed"].get("429", 0) > 0
             assert report["retry_after_present"] > 0
             assert report["digest_conflicts"] == []
             return report
 
-        loadgen_test(scenario, tmp_path, rate_limit_per_s=0.001,
-                     rate_limit_burst=1)
+        loadgen_test(scenario, tmp_path, queue_limit=1)

@@ -644,8 +644,7 @@ def sample_status():
                       "rejected": 1},
         "pool": {"jobs": 2, "queue_depth": 3,
                  "utilization": {"0": 0.75, "1": 0.25}},
-        "store": {"hit_ratio": 0.5, "resident": 7, "max_entries": 16,
-                  "evictions": 2, "corrupt": 0},
+        "store": {"hit_ratio": 0.5, "resident": 7, "corrupt": 0},
         "requests": {"svc.requests": 11, "svc.requests_x": 1},
     }
 
@@ -655,7 +654,7 @@ def sample_metrics():
     hist = registry.histogram("svc.request_ms", REQUEST_BUCKETS_MS)
     for value in (0.5, 2.0, 40.0, 900.0):
         hist.observe(value)
-    registry.histogram("svc.store.fsync_ms", (1.0, 10.0)).observe(0.3)
+    registry.histogram("runner.journal_fsync_ms", (1.0, 10.0)).observe(0.3)
     return registry.to_dict()
 
 
@@ -667,7 +666,7 @@ class TestTopConsole:
         assert "2/8 in system" in frame
         assert "queue depth 3" in frame
         assert "w0:" in frame and "75.0% busy" in frame
-        assert "50.0% hits" in frame and "resident 7/16" in frame
+        assert "50.0% hits" in frame and "resident 7 " in frame
         assert "latency: n=4" in frame and "p50=" in frame
         assert "store fsync: n=1" in frame
         assert all(len(line) <= 100 for line in frame.splitlines())

@@ -228,6 +228,55 @@ class TestJournal:
         assert [r["hash"] for r in journal.records()] == ["h1"]
         assert set(journal.completed()) == {"h1"}
 
+    def test_append_after_torn_tail_starts_a_fresh_line(self, tmp_path):
+        journal = Journal(str(tmp_path / "run"))
+        for config_hash in ("h0", "h1", "h-torn"):
+            journal.append(
+                {"kind": "cell", "hash": config_hash, "status": "ok"}
+            )
+        journal.close()
+        # Killed mid-append: the last record loses its second half.
+        size = os.path.getsize(journal.journal_path)
+        with open(journal.journal_path, "r+b") as handle:
+            handle.truncate(size - 10)
+        # The resumed run appends after the fragment, not onto it.
+        resumed = Journal(journal.directory)
+        resumed.append({"kind": "cell", "hash": "h2", "status": "ok"})
+        resumed.append({"kind": "cell", "hash": "h3", "status": "ok"})
+        resumed.close()
+        reopened = Journal(journal.directory)
+        assert set(reopened.completed()) == {"h0", "h1", "h2", "h3"}
+        assert reopened.skipped_lines == 1
+
+    def test_tear_while_open_still_starts_a_fresh_line(self, tmp_path):
+        journal = Journal(str(tmp_path / "run"))
+        journal.append({"kind": "cell", "hash": "h0", "status": "ok"})
+        torn = journal.append({"kind": "cell", "hash": "h1", "status": "ok"})
+        # Torn from outside while this writer still holds the file open.
+        with open(journal.journal_path, "r+b") as handle:
+            handle.truncate(torn + 5)
+        fresh = journal.append({"kind": "cell", "hash": "h2", "status": "ok"})
+        journal.close()
+        assert fresh == torn + 6  # the fragment, then its closing newline
+        assert set(journal.completed()) == {"h0", "h2"}
+        assert journal.read_at(fresh)["hash"] == "h2"
+
+    def test_offsets_index_the_latest_successful_records(self, tmp_path):
+        journal = Journal(str(tmp_path / "run"))
+        first = journal.append(
+            {"kind": "cell", "hash": "h1", "status": "ok", "digest": "a"}
+        )
+        journal.append({"kind": "cell", "hash": "h2", "status": "failed"})
+        latest = journal.append(
+            {"kind": "cell", "hash": "h1", "status": "ok", "digest": "b"}
+        )
+        journal.close()
+        assert first == 0
+        assert journal.completed_offsets() == {"h1": latest}
+        assert journal.read_at(latest) == journal.completed()["h1"]
+        assert journal.read_at(first)["digest"] == "a"
+        assert journal.read_at(first + 3) is None  # mid-line: malformed
+
     def test_completed_excludes_failures_and_failures_exclude_retried(
             self, tmp_path):
         journal = Journal(str(tmp_path / "run"))

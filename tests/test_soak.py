@@ -150,29 +150,33 @@ class TestMiniSoak:
         assert NetChaosSchedule(**CHAOS).plan_counts(connections) == \
             NetChaosSchedule(**CHAOS).plan_counts(connections)
 
-    def test_rate_limited_soak_sheds_deterministically(
+    def test_queue_limited_soak_sheds_deterministically(
             self, test_kinds, tmp_path):
-        """With a bucket that never refills during the run, the number
-        of compute requests *reaching the service* past the limiter is
-        exactly ``burst`` — reproducible shed accounting under chaos."""
+        """With the one admission slot held by a cell that outlasts the
+        run, exactly one compute request is admitted and every other
+        distinct cell is refused 429 — reproducible shed accounting
+        under chaos."""
+        specs = [
+            {"trace": "ld", "policy": "demand", "disks": 1, "kind": "sleep",
+             "params": {"sleep_s": 2.0, "n": n}}
+            for n in range(16)
+        ]
 
         async def scenario(service, server, proxy):
-            config = LoadgenConfig(port=proxy.bound_port,
-                                   specs=[dict(INSTANT_SPEC)], **LOAD)
+            config = LoadgenConfig(port=proxy.bound_port, specs=specs,
+                                   **LOAD)
             report = await run_loadgen(config)
-            limiter = service.rate_limiter
             cell_statuses = report["kind_status"].get("cells", {})
             cells_sent = sum(cell_statuses.values())
-            # Every cell request that got an answer was either one of
-            # the `burst` admitted ones or a rate-limit 429.
+            # Every cell request that got an answer either shared the
+            # admitted cell (200) or was refused by the full queue.
             admitted = cell_statuses.get("200", 0)
             limited = cell_statuses.get("429", 0)
-            assert admitted <= 3  # the burst
+            assert service.admission.admitted == 1
             assert limited == cells_sent - admitted
-            assert limiter.rejected_total >= limited
+            assert service.admission.rejected >= limited
             assert report["shed"].get("429", 0) == limited
             assert report["retry_after_present"] >= limited
             return report
 
-        soak(scenario, tmp_path, rate_limit_per_s=0.0001, rate_limit_burst=3,
-             limits=ProtocolLimits())
+        soak(scenario, tmp_path, queue_limit=1, limits=ProtocolLimits())

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.runner import Cell
+from repro.runner import Cell, Journal
 from repro.runner.execute import CELL_KINDS
 from repro.svc import (
     AdmissionController,
@@ -61,14 +61,16 @@ class TestResultStore:
     def test_miss_then_put_then_bit_identical_hit(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         assert store.get("h1") is None
-        record = ok_record("h1")
+        record = ok_record("h1", v=1)
         assert store.put("h1", record) is True
         got = store.get("h1")
         assert got == record
         assert store.hits == 1 and store.misses == 1
         assert store.hit_ratio == 0.5
-        # The result is the atomically written file, sharded by prefix.
-        assert os.path.exists(str(tmp_path / "store" / "h1"[:2] / "h1.json"))
+        # One log: the store directory holds the run journal and nothing
+        # else.
+        assert os.listdir(str(tmp_path / "store")) == ["journal.jsonl"]
+        store.close()
 
     def test_reopen_recovers_residency_from_log_and_files(self, tmp_path):
         root = str(tmp_path / "store")
@@ -79,7 +81,7 @@ class TestResultStore:
         reopened = ResultStore(root)
         assert len(reopened) == 2
         assert "aaaa" in reopened and "bbbb" in reopened
-        assert reopened.get("aaaa") == ok_record("aaaa", digest="d-a")
+        assert reopened.get("aaaa") == ok_record("aaaa", digest="d-a", v=1)
 
     def test_put_is_idempotent_for_identical_digest(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
@@ -87,10 +89,10 @@ class TestResultStore:
         assert store.put("h1", record) is True
         assert store.put("h1", dict(record)) is False
         assert store.writes == 1 and store.put_dedup == 1
-        # Only one put entry ever hits the log: no duplicate computation
-        # is recorded.
-        puts = [e for e in store.read_log() if e["op"] == "put"]
-        assert len(puts) == 1
+        # Only one record ever reaches the journal: no duplicate
+        # computation is recorded.
+        assert len(store.journal.records()) == 1
+        store.close()
 
     def test_rejects_failure_records_and_hash_mismatch(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
@@ -101,68 +103,64 @@ class TestResultStore:
 
     def test_torn_result_file_is_quarantined_into_a_miss(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
+        store.put("h0", ok_record("h0"))
         store.put("h1", ok_record("h1"))
-        path = store.path_for("h1")
-        with open(path, "w") as handle:
-            handle.write('{"hash": "h1", "status": "ok", "dig')
+        path = store.journal.journal_path
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+        with open(path, "wb") as handle:
+            handle.write(lines[0] + lines[1][: len(lines[1]) // 2])
         assert store.get("h1") is None
         assert store.corrupt == 1
-        assert not os.path.exists(path)  # quarantined, will recompute
+        assert "h1" not in store  # dropped from the index: will recompute
+        assert store.get("h0") is not None  # the earlier record stays
+        # The recompute is appended afresh, after the fragment.
+        assert store.put("h1", ok_record("h1")) is True
+        store.close()
+        reopened = ResultStore(str(tmp_path / "store"))
+        assert reopened.get("h1") == ok_record("h1", v=1)
+        assert reopened.stats()["skipped_log_lines"] == 1
 
     def test_wrong_hash_inside_file_is_corrupt(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         store.put("h1", ok_record("h1"))
-        with open(store.path_for("h1"), "w") as handle:
-            json.dump(ok_record("h2"), handle)
+        with open(store.journal.journal_path, "w") as handle:
+            handle.write(json.dumps(ok_record("h2"), sort_keys=True) + "\n")
         assert store.get("h1") is None
         assert store.corrupt == 1
-
-    def test_lru_eviction_bounds_residency(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store"), max_entries=2)
-        store.put("h1", ok_record("h1"))
-        store.put("h2", ok_record("h2"))
-        store.get("h1")  # refresh h1: h2 becomes the LRU victim
-        store.put("h3", ok_record("h3"))
-        assert store.evictions == 1
-        assert "h2" not in store
-        assert store.get("h2") is None
-        assert store.get("h1") is not None and store.get("h3") is not None
-        assert not os.path.exists(store.path_for("h2"))
-        evicts = [e for e in store.read_log() if e["op"] == "evict"]
-        assert [e["hash"] for e in evicts] == ["h2"]
-
-    def test_recency_survives_reopen_via_touch_entries(self, tmp_path):
-        root = str(tmp_path / "store")
-        store = ResultStore(root, max_entries=2)
-        store.put("h1", ok_record("h1"))
-        store.put("h2", ok_record("h2"))
-        store.get("h1")
         store.close()
-        reopened = ResultStore(root, max_entries=2)
-        reopened.put("h3", ok_record("h3"))
-        assert "h1" in reopened and "h2" not in reopened
 
     def test_malformed_log_lines_are_skipped_and_counted(self, tmp_path):
         root = str(tmp_path / "store")
         store = ResultStore(root)
         store.put("h1", ok_record("h1"))
         store.close()
-        with open(os.path.join(root, "store.log.jsonl"), "a") as handle:
-            handle.write('{"op": "put", "hash": "h2", "dig\n')
+        with open(os.path.join(root, "journal.jsonl"), "a") as handle:
+            handle.write('{"kind": "cell", "hash": "h2", "dig\n')
         reopened = ResultStore(root)
-        assert reopened.skipped_log_lines == 1
+        assert reopened.stats()["skipped_log_lines"] == 1
         assert len(reopened) == 1
 
-    def test_stale_tmp_files_swept_from_root_and_shards(self, tmp_path):
+    def test_stale_tmp_files_swept_at_first_put(self, tmp_path):
+        # A sweep killed mid-manifest-write leaves .manifest.json.*.tmp;
+        # the journal sweeps it when the store first writes.
         root = tmp_path / "store"
-        shard = root / "ab"
-        shard.mkdir(parents=True)
-        (root / ".x.json.1.tmp").write_text("{")
-        (shard / ".abcd.json.2.tmp").write_text("{")
+        root.mkdir()
+        (root / ".manifest.json.1.tmp").write_text("{")
         store = ResultStore(str(root))
-        assert store.swept_tmp == 2
-        assert not (root / ".x.json.1.tmp").exists()
-        assert not (shard / ".abcd.json.2.tmp").exists()
+        store.put("h1", ok_record("h1"))
+        store.close()
+        assert store.journal.swept_tmp == 1
+        assert os.listdir(str(root)) == ["journal.jsonl"]
+
+    def test_latest_successful_record_wins(self, tmp_path):
+        root = str(tmp_path / "store")
+        journal = Journal(root)
+        journal.append(ok_record("h1", digest="old"))
+        journal.append({"kind": "cell", "hash": "h1", "status": "failed"})
+        journal.append(ok_record("h1", digest="new"))
+        journal.close()
+        assert ResultStore(root).get("h1")["digest"] == "new"
 
     def test_counters_mirror_into_metrics(self, tmp_path):
         metrics = MetricsRegistry()
@@ -170,10 +168,45 @@ class TestResultStore:
         store.get("h1")
         store.put("h1", ok_record("h1"))
         store.get("h1")
-        counters = metrics.to_dict()["counters"]
+        exported = metrics.to_dict()
+        counters = exported["counters"]
         assert counters["svc.store.misses"] == 1
         assert counters["svc.store.writes"] == 1
         assert counters["svc.store.hits"] == 1
+        # One fsync histogram for the one log.
+        assert exported["histograms"]["runner.journal_fsync_ms"]["count"] == 1
+        store.close()
+
+
+class TestTornTailRestart:
+    def test_restart_after_torn_tail_keeps_the_next_result(
+            self, test_kinds, tmp_path):
+        """A service restarted over a torn final line stores its next
+        result on a fresh line, so one more restart still serves it."""
+        store_dir = str(tmp_path / "store")
+
+        def serve(cell):
+            async def main():
+                service = SimulationService(
+                    ServiceConfig(store_dir=store_dir, jobs=1)
+                )
+                await service.start()
+                try:
+                    return await service.run_cell(cell)
+                finally:
+                    await service.drain("signal")
+
+            return asyncio.run(main())
+
+        first, second = kind_cell("instant", n=1), kind_cell("instant", n=2)
+        serve(first)
+        with open(os.path.join(store_dir, "journal.jsonl"), "ab") as handle:
+            handle.write(b'{"kind": "cell", "hash": "torn", "sta')
+        record, served = serve(second)
+        assert served == "computed"
+        again, served = serve(second)
+        assert served == "store" and again == record
+        assert serve(first)[1] == "store"
 
 
 # -- CircuitBreaker ---------------------------------------------------------------------
@@ -262,11 +295,11 @@ class TestCircuitBreaker:
 class TestAdmission:
     def test_rejects_above_limit_until_release(self):
         admission = AdmissionController(limit=2)
-        assert admission.try_acquire() and admission.try_acquire()
-        assert not admission.try_acquire()
+        assert admission.admit(0.0, 1)[0] and admission.admit(0.0, 1)[0]
+        assert admission.admit(0.0, 1) == (False, "queue_full", 1.0)
         assert admission.rejected == 1
         admission.release()
-        assert admission.try_acquire()
+        assert admission.admit(0.0, 1)[0]
         assert admission.status()["in_system"] == 2
 
     def test_release_never_goes_negative(self):

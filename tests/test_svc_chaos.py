@@ -1,19 +1,22 @@
 """The chaos harness: kill it, tear it, fill it — lose nothing.
 
 Every scenario here attacks a window the service claims to survive and
-then asserts the service-level invariants (docs/SERVICE.md):
+then asserts the service-level invariants (docs/SERVICE.md) on the one
+log the store keeps, its run journal:
 
-* **No lost result** — any result the store's log claims is either
-  resident and valid, or safely recomputable to the *same* digest.
+* **No lost result** — every whole successful record in the journal is
+  a store hit with that record's digest; a torn record is a miss that
+  recomputes to the same digest.
 * **No duplicate computation recorded** — per config hash, every digest
-  the log ever records is identical; an idempotent re-put after a crash
-  recompute adds no new entry.
-* **Bit-identity under fire** — with workers SIGKILLed mid-cell, files
-  torn at random offsets, the process dying between log append and
-  rename, and ENOSPC on the store, the 14 pinned golden digests of
-  ``tests/test_golden_results.py`` still come out exactly.
+  the journal ever records is identical; an idempotent re-put after a
+  crash recompute adds no new line.
+* **Bit-identity under fire** — with workers SIGKILLed mid-cell, records
+  torn at random offsets, the process dying on either side of the
+  journal append, and ENOSPC on the store, the 14 pinned golden digests
+  of ``tests/test_golden_results.py`` still come out exactly.
 * **Clean restart-and-resume** — a killed service reopens its store and
-  serves previously computed cells with zero simulation work.
+  serves previously computed cells with zero simulation work, and a
+  store and a sweep's run directory are interchangeable.
 """
 
 import asyncio
@@ -25,12 +28,11 @@ import sys
 import textwrap
 import time
 
-from repro.runner import Cell, execute_cell
+from repro.runner import Cell, Journal, execute_cell, run_plan
 from repro.svc import (
     CHAOS_EXIT_CODE,
     CRASH_ENV,
     RAISE_ENV,
-    STORE_LOG_NAME,
     ResultStore,
     ServiceConfig,
     SimulationService,
@@ -48,28 +50,27 @@ GOLDEN_DIGESTS = set(golden.EXPECTED.values())
 
 
 def assert_store_invariants(root):
-    """The log is the authority; everything on disk must agree with it."""
+    """The journal is the authority; the reopened store must agree."""
+    # One log: nothing but the journal (and a sweep's manifest).
+    assert set(os.listdir(root)) <= {"journal.jsonl", "manifest.json"}
+    digests_by_hash = {}
+    for record in Journal(root).records():
+        if record.get("kind") == "cell" and record.get("status") == "ok":
+            digests_by_hash.setdefault(record["hash"], set()).add(
+                record["digest"]
+            )
     store = ResultStore(root)
     try:
-        digests_by_hash = {}
-        for entry in store.read_log():
-            if entry.get("op") == "put":
-                digests_by_hash.setdefault(entry["hash"], set()).add(
-                    entry["digest"]
-                )
+        assert len(store) == len(digests_by_hash)
         for config_hash, digests in digests_by_hash.items():
-            # No duplicate computation recorded: every digest ever logged
-            # for one hash is the same digest.
+            # No duplicate computation recorded: every digest ever
+            # journaled for one hash is the same digest.
             assert len(digests) == 1, (
                 f"{config_hash}: divergent digests recorded {digests}"
             )
-        for config_hash in list(store._lru):
+            # No lost result: every whole record is a hit.
             record = store.get(config_hash)
-            if record is None:
-                continue  # quarantined just now; recompute will re-pin it
-            logged = digests_by_hash.get(config_hash)
-            if logged:
-                assert record["digest"] == next(iter(logged))
+            assert record is not None and record["digest"] in digests
     finally:
         store.close()
 
@@ -114,8 +115,7 @@ class TestWorkerKills:
             # The crash counted against the breaker, the recovery reset it.
             assert service.breaker.consecutive_failures == 0
             # Exactly one result recorded despite the violent first attempt.
-            puts = [e for e in service.store.read_log() if e["op"] == "put"]
-            assert len(puts) == 1
+            assert len(service.store.journal.records()) == 1
 
         service_scenario(tmp_path, scenario, jobs=1, retry_backoff_s=0.05)
         assert_store_invariants(str(tmp_path / "store"))
@@ -157,55 +157,60 @@ class TestTornWrites:
     def test_torn_result_files_recompute_to_logged_digest(
             self, test_kinds, tmp_path):
         async def scenario(service):
+            earlier = kind_cell("instant", n=41)
+            await service.run_cell(earlier)
             cell = kind_cell("instant", n=42)
             first, _ = await service.run_cell(cell)
+            path = service.store.journal.journal_path
             rng = random.Random(1996)
             for round_no in range(5):
-                offset = tear_file(
-                    service.store.path_for(cell.config_hash), rng
-                )
+                # Tear inside the journal's last line, which always holds
+                # the latest record for ``cell``.
+                with open(path, "rb") as handle:
+                    last_start = len(b"".join(handle.readlines()[:-1]))
+                offset = tear_file(path, rng, min_remaining=last_start + 1)
                 assert offset is not None
                 again, served = await service.run_cell(cell)
-                # Torn file → quarantined miss → recompute; the digest
-                # must match what the log pinned the first time.
+                # Torn record → corrupt miss → recompute; the digest
+                # must match what the journal pinned the first time.
                 assert served in ("computed", "store")
                 assert again["digest"] == first["digest"]
             assert service.store.corrupt >= 1
+            # Earlier records stay hits.
+            _, served = await service.run_cell(earlier)
+            assert served == "store"
 
         service_scenario(tmp_path, scenario, jobs=1)
         assert_store_invariants(str(tmp_path / "store"))
 
-    def test_torn_store_log_only_loses_recency_not_results(
+    def test_torn_journal_line_loses_only_that_record(
             self, test_kinds, tmp_path):
         root = str(tmp_path / "store")
+        cells = [kind_cell("instant", n=n) for n in (1, 2, 3)]
 
-        async def scenario(service):
-            for n in (1, 2, 3):
-                await service.run_cell(kind_cell("instant", n=n))
+        async def fill(service):
+            return [await service.run_cell(cell) for cell in cells]
 
-        service_scenario(tmp_path, scenario, jobs=1)
-        # Tear the log mid-file (not just the tail).
-        log_path = os.path.join(root, STORE_LOG_NAME)
-        with open(log_path) as handle:
+        computed = service_scenario(tmp_path, fill, jobs=1)
+        # Tear a line mid-file (not just the tail).
+        path = os.path.join(root, "journal.jsonl")
+        with open(path) as handle:
             lines = handle.readlines()
-        assert len(lines) >= 3
+        assert len(lines) == 3
         lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
-        with open(log_path, "w") as handle:
+        with open(path, "w") as handle:
             handle.writelines(lines)
 
-        reopened = ResultStore(root)
-        try:
-            assert reopened.skipped_log_lines == 1
-            # All three results still resident and valid: the files are
-            # the results, the log is residency metadata.
-            assert len(reopened) == 3
-            hits = 0
-            for cell in [kind_cell("instant", n=n) for n in (1, 2, 3)]:
-                if reopened.get(cell.config_hash) is not None:
-                    hits += 1
-            assert hits == 3
-        finally:
-            reopened.close()
+        async def reserve(service):
+            assert service.store.stats()["skipped_log_lines"] == 1
+            assert len(service.store) == 2
+            return [await service.run_cell(cell) for cell in cells]
+
+        served = service_scenario(tmp_path, reserve, jobs=1)
+        assert [how for _, how in served] == ["store", "computed", "store"]
+        assert [record["digest"] for record, _ in served] == \
+            [record["digest"] for record, _ in computed]
+        assert_store_invariants(root)
 
 
 # -- ENOSPC on the store ----------------------------------------------------------------
@@ -291,37 +296,12 @@ class TestCrashWindows:
 
         return asyncio.run(main())
 
-    def test_killed_between_log_append_and_rename(self, tmp_path):
-        """SIGKILL in the most dangerous window: the put is logged, the
-        result file does not exist yet."""
+    def test_killed_after_log_append_restart_serves_from_store(
+            self, tmp_path):
+        """SIGKILL just after the fsynced append, before anything else
+        happens: the result is durable, so a restart computes nothing."""
         store_dir = str(tmp_path / "store")
         run_crash_driver(store_dir, "store.put.post-log")
-
-        store = ResultStore(store_dir)
-        puts = [e for e in store.read_log() if e["op"] == "put"]
-        assert len(puts) == 1  # the log append survived (it is fsynced)
-        logged_digest = puts[0]["digest"]
-        # The file never made it; recovery treats it as not resident.
-        assert store.get(self.CELL.config_hash) is None
-        store.close()
-
-        # Restart and re-request: the recompute must produce exactly the
-        # digest the dead process logged, and the store heals.
-        (record, served), _status = self.serve_once(store_dir)
-        assert served == "computed"
-        assert record["digest"] == logged_digest
-        assert_store_invariants(store_dir)
-        # The healed store now serves it with zero simulation work.
-        (record2, served2), status = self.serve_once(store_dir)
-        assert served2 == "store"
-        assert record2 == record
-        assert status["pool"]["counters"]["dispatched"] == 0
-
-    def test_killed_after_rename_restart_serves_from_store(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        run_crash_driver(store_dir, "store.put.post-write")
-        # Everything durable landed before the kill: restart serves the
-        # result without computing anything.
         (record, served), status = self.serve_once(store_dir)
         assert served == "store"
         assert record["status"] == "ok"
@@ -334,9 +314,7 @@ class TestCrashWindows:
     def test_killed_before_log_is_a_clean_recompute(self, tmp_path):
         store_dir = str(tmp_path / "store")
         run_crash_driver(store_dir, "store.put.pre-log")
-        store = ResultStore(store_dir)
-        assert [e for e in store.read_log() if e["op"] == "put"] == []
-        store.close()
+        assert Journal(store_dir).records() == []
         (record, served), _ = self.serve_once(store_dir)
         assert served == "computed"
         outcome = execute_cell(self.CELL)
@@ -399,3 +377,51 @@ class TestGoldenAcceptance:
 
         service_scenario(tmp_path, restart_scenario, jobs=2,
                          request_timeout_s=300.0)
+
+
+# -- one log: a run directory is a store, a store is a run directory ---------------------
+
+
+class TestOneLog:
+    def test_swept_run_directory_serves_from_store(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        swept = run_plan(golden_plan(), journal_dir=run_dir, jobs=2,
+                         install_signal_handlers=False)
+        assert swept.exit_code == 0
+        journaled = Journal(run_dir).completed()
+
+        async def scenario(service):
+            results = await service.run_cells(golden_plan())
+            for (record, served), gcell in zip(results, golden.CELLS):
+                assert served == "store"
+                assert record["digest"] == golden.EXPECTED[
+                    golden.cell_id(gcell)
+                ]
+                assert record == journaled[record["hash"]]
+            assert service.pool.counters["dispatched"] == 0
+
+        service_scenario(tmp_path, scenario, store_dir=run_dir)
+        assert_store_invariants(run_dir)
+
+    def test_service_store_resumes_as_a_sweep(self, tmp_path):
+        store_dir = str(tmp_path / "store")
+
+        async def scenario(service):
+            return await service.run_cells(golden_plan())
+
+        served = service_scenario(tmp_path, scenario, store_dir=store_dir,
+                                  request_timeout_s=300.0)
+        resumed = run_plan(golden_plan(), journal_dir=store_dir, jobs=1,
+                           resume=True, install_signal_handlers=False)
+        assert resumed.exit_code == 0
+        assert resumed.skipped == len(golden.CELLS)
+        assert resumed.counters["dispatched"] == 0
+        digests = {
+            golden.cell_id(gcell): resumed.digests[cell.config_hash]
+            for gcell, cell in zip(golden.CELLS, golden_plan())
+        }
+        assert digests == golden.EXPECTED
+        assert [record for record, _ in served] == [
+            resumed.records[cell.config_hash] for cell in golden_plan()
+        ]
+        assert_store_invariants(store_dir)

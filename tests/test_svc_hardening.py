@@ -9,8 +9,8 @@ wire-visible:
   garbage) must each produce the documented 4xx and never an exception
   on the event loop; the hard size ceilings must hold for *any*
   configuration;
-* **overload control** — deadline-aware shedding, the per-peer rate
-  limiter, the compute priority lane, and the connection cap;
+* **overload control** — deadline-aware shedding, the compute priority
+  lane, and the connection cap;
 * **event-stream bounds** — a stalled ``/v1/events`` consumer is
   disconnected, ring-buffer overflow is surfaced as an explicit gap.
 """
@@ -24,7 +24,6 @@ from repro.obs import MetricsRegistry
 from repro.svc import (
     HARD_MAX_BODY_BYTES,
     HARD_MAX_HEADER_BYTES,
-    PeerRateLimiter,
     ProtocolLimits,
     ServiceConfig,
     ServiceServer,
@@ -285,7 +284,7 @@ class TestMalformedCorpus:
         self.run(scenario, tmp_path, header_timeout_s=0.3)
 
 
-# -- connection cap, keep-alive, priority lane, rate limit ------------------------------
+# -- connection cap, keep-alive, priority lane ------------------------------------------
 
 
 class TestConnectionLimits:
@@ -393,30 +392,7 @@ class TestConnectionLimits:
                                   reserved_read_connections=15),
         )
 
-    def test_rate_limited_compute_is_429_but_reads_pass(
-            self, test_kinds, tmp_path):
-        async def scenario(service, port):
-            first = await fetch(port, "POST", "/v1/cells", INSTANT_SPEC)
-            assert first[0] == 200
-            status, headers, payload = await fetch(
-                port, "POST", "/v1/cells", INSTANT_SPEC
-            )
-            assert status == 429
-            assert "rate limit" in payload["error"]
-            assert int(headers["retry-after"]) >= 1
-            # Reads are exempt from the compute rate limit.
-            status, _, _ = await fetch(port, "GET", "/v1/healthz")
-            assert status == 200
-            counters = service.metrics.to_dict()["counters"]
-            assert counters.get('svc.http.limited{reason="rate"}') == 1
-            assert service.rate_limiter.rejected_total == 1
-
-        http_test(
-            scenario, store_dir=str(tmp_path / "store"), jobs=1,
-            rate_limit_per_s=0.001, rate_limit_burst=1,
-        )
-
-    def test_status_exposes_http_and_rate_limiter_blocks(
+    def test_status_exposes_http_and_admission_blocks(
             self, test_kinds, tmp_path):
         async def scenario(service, port):
             status, _, payload = await fetch(port, "GET", "/v1/status")
@@ -425,63 +401,10 @@ class TestConnectionLimits:
             assert http["max_connections"] == 256
             assert http["compute_connections"] == 224
             assert http["limits"]["max_body_bytes"] == 4 * 1024 * 1024
-            assert payload["rate_limiter"]["enabled"] is False
+            assert "rate_limiter" not in payload
             assert "shed" in payload["admission"]
 
         http_test(scenario, store_dir=str(tmp_path / "store"), jobs=1)
-
-
-# -- the per-peer token bucket ----------------------------------------------------------
-
-
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-
-class TestPeerRateLimiter:
-    def test_burst_then_refusal_then_refill(self):
-        clock = FakeClock()
-        limiter = PeerRateLimiter(rate_per_s=1.0, burst=2, clock=clock)
-        assert limiter.check("a") == (True, 0.0)
-        assert limiter.check("a") == (True, 0.0)
-        admitted, retry = limiter.check("a")
-        assert not admitted and retry == pytest.approx(1.0)
-        clock.now += 1.0
-        assert limiter.check("a")[0] is True
-        assert limiter.rejected_total == 1
-
-    def test_peers_have_independent_buckets(self):
-        limiter = PeerRateLimiter(rate_per_s=1.0, burst=1, clock=FakeClock())
-        assert limiter.check("a")[0] is True
-        assert limiter.check("b")[0] is True
-        assert limiter.check("a")[0] is False
-
-    def test_tokens_cap_at_burst(self):
-        clock = FakeClock()
-        limiter = PeerRateLimiter(rate_per_s=100.0, burst=2, clock=clock)
-        limiter.check("a")
-        clock.now += 1000.0  # refill far past the cap
-        assert limiter.check("a")[0] is True
-        assert limiter.check("a")[0] is True
-        assert limiter.check("a")[0] is False
-
-    def test_lru_eviction_bounds_the_bucket_map(self):
-        limiter = PeerRateLimiter(rate_per_s=1.0, burst=1, max_peers=2,
-                                  clock=FakeClock())
-        for peer in ("a", "b", "c", "d"):
-            limiter.check(peer)
-        assert limiter.status()["peers"] == 2
-        assert limiter.evicted_total == 2
-
-    def test_disabled_always_admits(self):
-        limiter = PeerRateLimiter(rate_per_s=0.0, burst=1, clock=FakeClock())
-        assert not limiter.enabled
-        for _ in range(100):
-            assert limiter.check("a") == (True, 0.0)
 
 
 # -- deadline-aware admission -----------------------------------------------------------
@@ -545,13 +468,6 @@ class TestAdmissionShedding:
         admitted, reason, _ = controller.admit(60.0, 1)
         assert admitted and reason == "ok"
         assert controller.in_system == 4
-
-    def test_try_acquire_back_compat(self):
-        controller = AdmissionController(limit=1)
-        assert controller.try_acquire() is True
-        assert controller.try_acquire() is False
-        controller.release()
-        assert controller.try_acquire() is True
 
     def test_deadline_shed_over_http_with_observability(
             self, test_kinds, tmp_path):
