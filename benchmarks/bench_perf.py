@@ -2,8 +2,10 @@
 """Performance-regression harness: time representative simulator cells.
 
 Unlike the figure/table benchmarks (which reproduce the paper's *results*),
-this harness measures the *simulator itself*: wall-clock per cell, simulator
-events dispatched per second, references replayed per second, and peak RSS.
+this harness measures the *simulator itself*: wall-clock per cell
+(``Simulator.run()``, and construction separately as ``construct_s``),
+simulator events dispatched per second, references replayed per second,
+and peak RSS.
 It emits ``BENCH_perf.json`` so future PRs have a performance trajectory to
 compare against, and can gate on a committed baseline::
 
@@ -14,9 +16,11 @@ compare against, and can gate on a committed baseline::
 Cells cover every scheduling discipline and the policies with distinct
 hot paths (demand bursts for the FCFS queue, deep aggressive batches for
 the missing-block scan, forestall's per-disk trigger walks, reverse
-aggressive's reverse simulation).  Wall-clock comparisons across different
-machines are only indicative; the regression gate uses a generous factor
-to catch complexity blowups (the O(n^2) class of bug), not micro-noise.
+aggressive's reverse simulation, which runs when the simulator is built
+and so is gated through ``construct_s``).  Wall-clock comparisons across
+different machines are only indicative; the regression gate uses a
+generous factor to catch complexity blowups (the O(n^2) class of bug),
+not micro-noise.
 
 See ``docs/PERFORMANCE.md`` for how to read the output.
 """
@@ -60,6 +64,9 @@ QUICK_CELLS = [
     ("cscope2", "aggressive", 4, "cscan"),
     ("synth", "aggressive", 2, "sstf"),
     ("synth-xl", "aggressive", 4, "cscan"),
+    # Its planner replays the reversed trace through the theory model
+    # while the simulator is built: construct_s gates it.
+    ("cscope2", "reverse-aggressive", 4, "cscan"),
 ]
 
 
@@ -87,12 +94,14 @@ def peak_rss_kb() -> int:
 
 def time_cell(trace, policy_name, disks, discipline, scale, repeat,
               profile=False):
-    """Best-of-``repeat`` wall time for one cell; returns the record dict."""
+    """Best-of-``repeat`` wall times for one cell (its ``run()`` and,
+    separately, its construction); returns the record dict."""
     config = SimConfig(
         cache_blocks=cache_blocks_for(trace.name, scale),
         discipline=discipline,
     )
     best_wall = None
+    best_construct = None
     sim = None
     result = None
     profiler = None
@@ -102,7 +111,11 @@ def time_cell(trace, policy_name, disks, discipline, scale, repeat,
             from repro.perf import PhaseProfiler
 
             run_profiler = PhaseProfiler()
+        start = time.perf_counter()
         candidate = Simulator(trace, make_policy(policy_name), disks, config)
+        construct = time.perf_counter() - start
+        if best_construct is None or construct < best_construct:
+            best_construct = construct
         start = time.perf_counter()
         with run_profiler if run_profiler is not None else nullcontext():
             run_result = candidate.run()
@@ -119,6 +132,7 @@ def time_cell(trace, policy_name, disks, discipline, scale, repeat,
         "fetches": result.fetches,
         "events": sim.events_dispatched,
         "wall_s": round(best_wall, 6),
+        "construct_s": round(best_construct, 6),
         "events_per_s": round(sim.events_dispatched / best_wall, 1),
         "refs_per_s": round(result.references / best_wall, 1),
         "simulated_elapsed_ms": round(result.elapsed_ms, 3),
@@ -130,20 +144,25 @@ def time_cell(trace, policy_name, disks, discipline, scale, repeat,
 
 
 def check_baseline(records, baseline_path, max_regression):
-    """Compare wall times against a committed baseline; list regressions."""
+    """Compare wall times, and construction times where the baseline row
+    carries them, against a committed baseline; list regressions."""
     with open(baseline_path) as handle:
         baseline = json.load(handle)
     base_by_id = {cell["id"]: cell for cell in baseline.get("cells", [])}
     regressions = []
     for record in records:
         base = base_by_id.get(record["id"])
-        if base is None or base["wall_s"] <= 0:
+        if base is None:
             continue
-        ratio = record["wall_s"] / base["wall_s"]
-        record["baseline_wall_s"] = base["wall_s"]
-        record["vs_baseline"] = round(ratio, 3)
-        if ratio > max_regression:
-            regressions.append((record["id"], ratio))
+        for key, label, suffix in (("wall_s", "", ""),
+                                   ("construct_s", " construction", "_construct")):
+            if base.get(key, 0) <= 0 or key not in record:
+                continue
+            ratio = record[key] / base[key]
+            record[f"baseline_{key}"] = base[key]
+            record[f"vs_baseline{suffix}"] = round(ratio, 3)
+            if ratio > max_regression:
+                regressions.append((record["id"] + label, ratio))
     return regressions
 
 
@@ -164,8 +183,9 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", default=None,
                         help="committed BENCH_perf.json to gate against")
     parser.add_argument("--max-regression", type=float, default=2.0,
-                        help="fail if any cell's wall time exceeds "
-                        "baseline x this factor (default 2.0)")
+                        help="fail if any cell's wall time, or its "
+                        "construction time where the baseline has one, "
+                        "exceeds baseline x this factor (default 2.0)")
     parser.add_argument("--profile", action="store_true",
                         help="attach the phase profiler and record the "
                         "per-phase breakdown in each cell")
@@ -194,6 +214,7 @@ def main(argv=None) -> int:
         )
         print(
             f"{record['id']:44s} {record['wall_s']*1000:9.1f} ms  "
+            f"(built in {record['construct_s']*1000:7.1f} ms)  "
             f"{record['events_per_s']:>11,.0f} ev/s  "
             f"{record['refs_per_s']:>10,.0f} refs/s"
         )

@@ -18,7 +18,9 @@ from __future__ import annotations
 from typing import Callable, Optional, cast
 
 from repro.core.batching import batch_size_for
-from repro.core.policy import MissingScanner, PrefetchPolicy, SimulatorLike, Victim
+from repro.core.policy import (
+    MissingScanner, PrefetchPolicy, SimulatorLike, Victim, refuse_out_of_range,
+)
 
 
 class Aggressive(PrefetchPolicy):
@@ -26,6 +28,10 @@ class Aggressive(PrefetchPolicy):
 
     def __init__(self, batch_size: Optional[int] = None) -> None:
         super().__init__()
+        refuse_out_of_range("aggressive", (
+            ("batch_size", batch_size, batch_size is None or batch_size >= 1,
+             "at least 1"),
+        ))
         self._batch_override = batch_size
         if batch_size is None:
             self.name = "aggressive"

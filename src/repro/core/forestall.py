@@ -27,6 +27,7 @@ Practicalities from the paper, all implemented here:
 from __future__ import annotations
 
 import bisect
+import math
 from array import array
 from collections import deque
 from itertools import islice
@@ -51,6 +52,7 @@ from repro.core.policy import (
     PrefetchPolicy,
     SimulatorLike,
     Victim,
+    refuse_out_of_range,
 )
 
 #: A disk's survey walks this many entries in Python before a numpy pass
@@ -246,6 +248,23 @@ class Forestall(PrefetchPolicy):
         overestimate_factor: float = 4.0,
     ) -> None:
         super().__init__()
+        refuse_out_of_range("forestall", (
+            ("batch_size", batch_size, batch_size is None or batch_size >= 1,
+             "at least 1"),
+            ("horizon", horizon, horizon >= 0, "at least 0"),
+            ("fixed_estimate", fixed_estimate, fixed_estimate is None
+             or (math.isfinite(fixed_estimate) and fixed_estimate > 0),
+             "finite and > 0"),
+            ("history", history, history >= 1, "at least 1"),
+            ("lookahead_caches", lookahead_caches, lookahead_caches >= 1,
+             "at least 1"),
+            ("fast_disk_threshold_ms", fast_disk_threshold_ms,
+             math.isfinite(fast_disk_threshold_ms)
+             and fast_disk_threshold_ms >= 0, "finite and >= 0"),
+            ("overestimate_factor", overestimate_factor,
+             math.isfinite(overestimate_factor) and overestimate_factor > 0,
+             "finite and > 0"),
+        ))
         self._batch_override = batch_size
         self.horizon = horizon
         self.fixed_estimate = fixed_estimate

@@ -136,6 +136,12 @@ class NextRefIndex:
     def distinct_blocks(self) -> int:
         return len(self._first)
 
+    @property
+    def successors(self) -> "array[int]":
+        """The successor array: ``successors[i]`` is the next position after
+        ``i`` that references ``blocks[i]``, or ``never``."""
+        return self._succ
+
     def unique_blocks(self) -> KeysView[int]:
         """Distinct referenced blocks, in first-occurrence order."""
         return self._first.keys()

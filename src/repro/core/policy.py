@@ -43,6 +43,17 @@ if TYPE_CHECKING:
 #: evict, or ``False`` (nothing may be evicted right now — wait).
 Victim = Union[int, None, Literal[False]]
 
+
+def refuse_out_of_range(
+    policy: str, checks: Iterable[Tuple[str, object, bool, str]]
+) -> None:
+    """Raise ValueError naming the first parameter out of range.  Each
+    check is (name, value, whether it is in range, the range in words)."""
+    for name, value, in_range, need in checks:
+        if not in_range:
+            raise ValueError(f"{policy}: {name} must be {need}, got {value!r}")
+
+
 #: Batched missing-scan tuning — see ``MissingScanner.missing_in``.  The
 #: first ``_SCAN_PREFIX`` positions are probed scalar (consumers with small
 #: batch budgets usually stop there); vectorized probes then start at

@@ -7,8 +7,8 @@ plus the compute-time component and enough detail for the figures.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Tuple
 
 
 @dataclass
@@ -81,6 +81,15 @@ class SimulationResult:
                 f"({self.trace_name}/{self.policy_name}/{self.num_disks})"
             )
 
+    def field_dict(self) -> Dict[str, Any]:
+        """``dataclasses.asdict(self)`` without its generic deep copy: the
+        same keys in the same order, with the two containers copied (their
+        items are numbers).  Digests and journal records are built from it."""
+        record = {name: getattr(self, name) for name in _FIELD_NAMES}
+        record["per_disk_busy_ms"] = list(self.per_disk_busy_ms)
+        record["extras"] = dict(self.extras)
+        return record
+
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready summary.
 
@@ -130,3 +139,7 @@ class SimulationResult:
             if self.degraded:
                 text += " DEGRADED"
         return text
+
+
+#: The dataclass fields of :class:`SimulationResult`, in declaration order.
+_FIELD_NAMES: Tuple[str, ...] = tuple(f.name for f in fields(SimulationResult))

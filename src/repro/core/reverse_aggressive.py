@@ -21,11 +21,14 @@ eviction victims from the precomputed schedule instead of choosing greedily.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple, cast
 
 from repro.core.aggressive import fill_free_disks
 from repro.core.batching import batch_size_for
-from repro.core.policy import MissingScanner, PrefetchPolicy, SimulatorLike, Victim
+from repro.core.policy import (
+    MissingScanner, PrefetchPolicy, SimulatorLike, Victim, refuse_out_of_range,
+)
 from repro.theory.model import run_aggressive_model
 
 #: Fetch-time estimates (in reference-time units) swept by Appendix F.
@@ -46,6 +49,19 @@ class ReverseAggressive(PrefetchPolicy):
         nominal_access_ms: float = 15.0,
     ) -> None:
         super().__init__()
+        refuse_out_of_range("reverse-aggressive", (
+            ("fetch_time_estimate", fetch_time_estimate,
+             fetch_time_estimate is None or (
+                 math.isfinite(fetch_time_estimate) and fetch_time_estimate > 0
+             ), "finite and > 0"),
+            ("reverse_batch_size", reverse_batch_size,
+             reverse_batch_size is None or reverse_batch_size >= 1, "at least 1"),
+            ("forward_batch_size", forward_batch_size,
+             forward_batch_size is None or forward_batch_size >= 1, "at least 1"),
+            ("nominal_access_ms", nominal_access_ms,
+             math.isfinite(nominal_access_ms) and nominal_access_ms > 0,
+             "finite and > 0"),
+        ))
         self.fetch_time_estimate = fetch_time_estimate
         self._reverse_batch_override = reverse_batch_size
         self._forward_batch_override = forward_batch_size
@@ -109,6 +125,9 @@ class ReverseAggressive(PrefetchPolicy):
     ) -> None:
         blocks = sim.blocks
         n = len(blocks)
+        # The model asks disk_of once per block.  bind runs at time 0 with
+        # the array idle, so even a mirrored array's choice of spindle is a
+        # function of the block here.
         run = run_aggressive_model(
             blocks[::-1],
             cache_blocks=sim.cache.capacity,

@@ -16,7 +16,6 @@ therefore directly comparable to the golden values.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import json
 import time
@@ -32,7 +31,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core import POLICIES, SimConfig, Simulator, make_policy
+from repro.core import POLICIES, PrefetchPolicy, SimConfig, Simulator, make_policy
 from repro.core.batching import batch_size_for
 from repro.core.results import SimulationResult
 from repro.runner.plan import KIND_RUN, KIND_TUNED_REVERSE, Cell
@@ -134,7 +133,7 @@ def result_digest(result: SimulationResult,
                   timeline: Optional[List[Any]] = None) -> str:
     """SHA-256 of the complete serialized outcome (golden-test scheme:
     json renders floats via repr, so any ULP drift changes the digest)."""
-    payload = dataclasses.asdict(result)
+    payload = result.field_dict()
     if timeline is not None:
         payload["timeline"] = timeline
     serialized = json.dumps(payload, sort_keys=True)
@@ -155,6 +154,18 @@ class CellOutcome:
         return self.cell.config_hash
 
 
+def policy_for(cell: Cell, policy_kwargs: Dict[str, Any]) -> PrefetchPolicy:
+    """The policy one simulation of ``cell`` runs: the scaled defaults,
+    then ``policy_kwargs``.  Raises ValueError or TypeError on parameters
+    the policy refuses."""
+    kwargs = (
+        scaled_policy_kwargs(cell.policy, cell.disks, cell.scale)
+        if cell.scaled_defaults else {}
+    )
+    kwargs.update(policy_kwargs)
+    return make_policy(cell.policy, **kwargs)
+
+
 def _run_simulation(
     cell: Cell,
     policy_kwargs: Dict[str, Any],
@@ -166,13 +177,8 @@ def _run_simulation(
     validate_names(cell.trace, cell.policy)
     trace = get_trace(cell.trace, cell.scale, cell.seed, cache=trace_cache)
     config = sim_config_for(cell)
-    kwargs = (
-        scaled_policy_kwargs(cell.policy, cell.disks, cell.scale)
-        if cell.scaled_defaults else {}
-    )
-    kwargs.update(policy_kwargs)
     sim = Simulator(
-        trace, make_policy(cell.policy, **kwargs), cell.disks, config,
+        trace, policy_for(cell, policy_kwargs), cell.disks, config,
         observer=observer,
     )
     with profiler if profiler is not None else contextlib.nullcontext():
@@ -201,6 +207,25 @@ def _execute_tuned_reverse(
 ) -> Tuple[SimulationResult, str]:
     """The paper's baseline tuning: grid-search (F, reverse batch) and keep
     the best elapsed time (first winner on ties, like the serial loop)."""
+    best: Optional[SimulationResult] = None
+    for kwargs in _policy_grid(cell):
+        result, _ = _run_simulation(
+            cell, kwargs,
+            profiler=profiler, observer=observer, trace_cache=trace_cache,
+        )
+        if best is None or result.elapsed_ms < best.elapsed_ms:
+            best = result
+    assert best is not None
+    best.policy_name = "reverse-aggressive"
+    return best, result_digest(best)
+
+
+def _policy_grid(cell: Cell) -> List[Dict[str, Any]]:
+    """The ``policy_kwargs`` of each simulation ``cell`` runs, in order:
+    one per (F, reverse batch) grid point for a tuned-reverse cell, else
+    the cell's own."""
+    if cell.kind != KIND_TUNED_REVERSE:
+        return [dict(cell.policy_kwargs)]
     fetch_times = tuple(cell.params.get("fetch_times", (2, 4, 8, 16, 64)))
     batch_sizes = cell.params.get("batch_sizes")
     if batch_sizes is None:
@@ -217,22 +242,19 @@ def _execute_tuned_reverse(
             "tuned reverse-aggressive: batch_sizes grid is empty — pass at "
             "least one reverse batch size or None for the per-disk default"
         )
-    best: Optional[SimulationResult] = None
-    for fetch_time in fetch_times:
-        for batch in batch_sizes:
-            kwargs = dict(cell.policy_kwargs)
-            kwargs.update(
-                fetch_time_estimate=fetch_time, reverse_batch_size=batch
-            )
-            result, _ = _run_simulation(
-                cell, kwargs,
-                profiler=profiler, observer=observer, trace_cache=trace_cache,
-            )
-            if best is None or result.elapsed_ms < best.elapsed_ms:
-                best = result
-    assert best is not None
-    best.policy_name = "reverse-aggressive"
-    return best, result_digest(best)
+    return [
+        dict(cell.policy_kwargs, fetch_time_estimate=fetch_time,
+             reverse_batch_size=batch)
+        for fetch_time in fetch_times
+        for batch in batch_sizes
+    ]
+
+
+def cell_policies(cell: Cell) -> List[PrefetchPolicy]:
+    """Every policy ``cell``'s simulations run, built but not bound, so a
+    parameter the policy refuses raises here (ValueError or TypeError)
+    instead of in a worker."""
+    return [policy_for(cell, kwargs) for kwargs in _policy_grid(cell)]
 
 
 #: Executors by cell kind.  Tests register extra kinds (sleep, crash-once,

@@ -45,7 +45,6 @@ testable under a fake clock.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import multiprocessing.connection
 import multiprocessing.context
@@ -157,7 +156,7 @@ def _worker_main(
                 # Full-precision serialization for the journal: resumed
                 # runs rebuild SimulationResult(**record["result"]) and
                 # the digest pins every float, so nothing is lost.
-                "result": dataclasses.asdict(outcome.result),
+                "result": outcome.result.field_dict(),
             }
         except Exception as exc:  # report as a failure record, don't die
             record = {

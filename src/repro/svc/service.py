@@ -62,7 +62,7 @@ from repro.runner.journal import SCHEMA_VERSION
 from repro.runner.plan import Cell
 from repro.runner.pool import PoolStatus, SupervisedPool
 from repro.runner.runner import EXIT_DEADLINE, EXIT_INTERRUPTED
-from repro.runner.execute import sim_config_for, validate_names
+from repro.runner.execute import cell_policies, sim_config_for, validate_names
 from repro.svc.admission import AdmissionController
 from repro.svc.breaker import CircuitBreaker
 from repro.svc.limits import ProtocolLimits
@@ -202,10 +202,13 @@ def cell_from_spec(spec: Any) -> Cell:
     try:
         validate_names(kwargs["trace"], kwargs["policy"])
         cell = Cell(**kwargs)
-        # SimConfig refuses out-of-range values (negative or non-finite
-        # times, unknown model names, ...): a 400 here, not a worker failure.
+        # SimConfig and the policies refuse out-of-range values (negative
+        # or non-finite times, unknown model names, a NaN fetch-time
+        # estimate, unknown policy arguments, ...): a 400 here, not a
+        # worker failure or a worker that never returns.
         sim_config_for(cell)
-    except (ValueError, OverflowError) as exc:
+        cell_policies(cell)
+    except (ValueError, OverflowError, TypeError) as exc:
         raise SpecError(str(exc)) from None
     if cell.disks < 1:
         raise SpecError(f"cell field 'disks' must be >= 1, got {cell.disks}")

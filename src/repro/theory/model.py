@@ -7,17 +7,34 @@ replacement fetch is issued; elapsed time = references + stall.
 
 The aggressive run doubles as *reverse aggressive*'s schedule constructor:
 run it on the reversed sequence and read the event log backwards.
+
+A run does work only when its answer can change.  Fetches land off a heap
+keyed by (completion time, issue order), and aggressive's fill runs again
+only when a fetch lands (a disk frees only then) or a hit moves its
+block's next use past the position where do-no-harm stopped the last
+fill.  A fill leaves nothing it could issue at once, and between fills
+that nothing lands in, a hit changes only its own block's next use, so a
+fill that runs then would issue nothing.  Results equal those of a fill
+at every reference step (``tests/model_oracle.py``).
 """
 
+import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, Iterator, List, Optional, Sequence, Set
+from functools import partial
+from typing import (
+    Callable, Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence,
+    Set, Tuple,
+)
 
-from repro.core.nextref import EvictionHeap, NextRefIndex
+from repro.core.nextref import NextRefIndex
 from repro.core.policy import Victim
 
+#: A victim choice and, for a block, its next use.
+Choice = Tuple[Victim, int]
 
-@dataclass(frozen=True)
-class ModelEvent:
+
+class ModelEvent(NamedTuple):
     """One fetch decision in a theoretical-model run."""
 
     issue_cursor: int  # references consumed when the fetch was issued
@@ -41,8 +58,17 @@ class ModelRun:
         return int(self.elapsed - self.stall + 0.5)
 
 
+def _check_at_least_one(name: str, value: int) -> None:
+    if not value >= 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
 class _ModelState:
-    """Shared plumbing for theoretical-model policies."""
+    """Shared plumbing for theoretical-model policies.
+
+    ``disk_of`` must be a function of the block: it is asked once per
+    referenced block.
+    """
 
     def __init__(
         self,
@@ -55,21 +81,32 @@ class _ModelState:
     ) -> None:
         if cache_blocks < 1:
             raise ValueError("cache must hold at least one block")
+        if not (math.isfinite(fetch_time) and fetch_time > 0):
+            raise ValueError(
+                f"fetch_time must be finite and > 0, got {fetch_time!r}"
+            )
         if len(set(initial_cache)) > cache_blocks:
             raise ValueError("initial cache exceeds capacity")
         self.blocks = list(blocks)
         self.cache_blocks = cache_blocks
         self.fetch_time = float(fetch_time)
         self.num_disks = num_disks
-        self.disk_of = disk_of
         self.index = NextRefIndex(self.blocks)
+        self.disk_of = {
+            block: disk_of(block) for block in self.index.unique_blocks()
+        }
         self.cache: Set[int] = set(initial_cache)
         self.in_flight: Dict[int, float] = {}  # block -> completion time
-        self.heap = EvictionHeap(self.index, self.cache)
-        for block in self.cache:
-            self.heap.push(block, 0)
+        #: (completion time, issue order, block, its next use) per fetch.
+        self.landing: List[Tuple[float, int, int, int]] = []
+        #: Max-heap of (-next use, block), pushed when a block lands and at
+        #: each hit: an entry is stale once its block left the cache or the
+        #: cursor passed its key.
+        self.victims = [
+            (-self.index.next_use(block, 0), block) for block in self.cache
+        ]
+        heapq.heapify(self.victims)
         self.busy_until = [0.0] * num_disks
-        self.pending: List[List[int]] = [[] for _ in range(num_disks)]
         self.events: List[ModelEvent] = []
         self.time = 0.0
         self.cursor = 0
@@ -82,96 +119,153 @@ class _ModelState:
     def occupied(self) -> int:
         return len(self.cache) + len(self.in_flight)
 
-    def present_or_coming(self, block: int) -> bool:
-        return block in self.cache or block in self.in_flight
-
     # -- fetch mechanics ---------------------------------------------------------
 
     def issue(
-        self, block: int, victim: Optional[int], target_position: int
+        self, block: int, victim: Optional[int], victim_next_use: int,
+        target_position: int,
     ) -> None:
-        disk = self.disk_of(block)
         if victim is not None:
             self.cache.discard(victim)
             # next_use == index.never (never referenced again) can never be
             # below the scan floor, so no sentinel check is needed.
-            next_use = self.index.next_use(victim, self.cursor)
-            if next_use < self._scan_floor:
-                self._scan_floor = next_use
-        start = max(self.time, self.busy_until[disk])
-        completion = start + self.fetch_time
+            if victim_next_use < self._scan_floor:
+                self._scan_floor = victim_next_use
+        disk = self.disk_of[block]
+        completion = max(self.time, self.busy_until[disk]) + self.fetch_time
         self.busy_until[disk] = completion
         self.in_flight[block] = completion
-        self.events.append(
-            ModelEvent(
-                issue_cursor=self.cursor,
-                target_position=target_position,
-                block=block,
-                victim=victim,
-            )
+        heapq.heappush(
+            self.landing, (completion, len(self.events), block, target_position)
         )
+        self.events.append(ModelEvent(self.cursor, target_position, block, victim))
 
     def absorb_completions(self) -> None:
         """Move fetches that have completed by ``self.time`` into the cache."""
-        if not self.in_flight:
-            return
-        done = [b for b, c in self.in_flight.items() if c <= self.time]
-        for block in done:
+        landing = self.landing
+        while landing and landing[0][0] <= self.time:
+            _, _, block, next_use = heapq.heappop(landing)
             del self.in_flight[block]
             self.cache.add(block)
-            self.heap.push(block, self.cursor)
+            # A fetch targets its block's next use, and the cursor cannot
+            # pass a block in flight.
+            heapq.heappush(self.victims, (-next_use, block))
 
-    def choose_victim(self, fetch_position: int) -> Victim:
+    def choose_victim(self, fetch_position: int) -> Choice:
         """Optimal replacement with do-no-harm against ``fetch_position``.
 
-        Returns None for a free buffer, a block, or False when disallowed.
+        The choice is None for a free buffer, a block, or False when
+        disallowed.
         """
-        if self.occupied < self.cache_blocks:
-            return None
-        victim = self.heap.best_victim(self.cursor)
-        if victim is None:
-            return False
+        if len(self.cache) + len(self.in_flight) < self.cache_blocks:
+            return None, 0
         # index.never exceeds any real fetch position, so never-again
         # blocks stay evictable with one exact comparison.
-        if self.index.next_use(victim, self.cursor) <= fetch_position:
-            return False
-        return victim
+        next_use = self.furthest()
+        if next_use <= fetch_position:
+            return False, 0
+        return self.victims[0][1], next_use
+
+    def furthest(self) -> int:
+        """The furthest next use of a resident block, whose entry is then
+        on top of ``victims`` (-1: nothing resident)."""
+        victims, cache, cursor = self.victims, self.cache, self.cursor
+        while victims:
+            key, block = victims[0]
+            if block in cache and -key >= cursor:
+                return -key
+            heapq.heappop(victims)
+        return -1
 
     def missing_positions(self, end: int) -> Iterator[int]:
-        blocks = self.blocks
+        blocks, cache, in_flight = self.blocks, self.cache, self.in_flight
         end = min(end, len(blocks))
         for position in range(max(self.cursor, self._scan_floor), end):
-            if not self.present_or_coming(blocks[position]):
+            if blocks[position] not in cache and blocks[position] not in in_flight:
                 yield position
 
-    def serve_loop(self, fill: Callable[[], None]) -> ModelRun:
+    def fill_free_disks(
+        self, batch_size: int, choose: Callable[[int], Choice]
+    ) -> int:
+        """Fetch the first missing blocks of every free disk, up to
+        ``batch_size`` each, taking victims from ``choose``.
+
+        Returns the position where ``choose`` refused a victim, or the
+        sequence length when nothing refused one.
+        """
+        n = len(self.blocks)
+        now = self.time
+        budgets = [batch_size if until <= now else 0 for until in self.busy_until]
+        open_disks = self.num_disks - budgets.count(0)
+        if not open_disks:
+            return n
+        blocks, cache, in_flight = self.blocks, self.cache, self.in_flight
+        disk_of = self.disk_of
+        new_floor = stop = n
+        for position in range(max(self.cursor, self._scan_floor), n):
+            block = blocks[position]
+            if block in cache or block in in_flight:
+                continue
+            disk = disk_of[block]
+            budget = budgets[disk]
+            if not budget:
+                if position < new_floor:
+                    new_floor = position
+                if not open_disks:
+                    break
+                continue
+            victim, next_use = choose(position)
+            if victim is False:
+                if position < new_floor:
+                    new_floor = position
+                stop = position
+                break
+            self.issue(block, victim, next_use, position)
+            budgets[disk] = budget - 1
+            if budget == 1:
+                open_disks -= 1
+        if new_floor > self._scan_floor:
+            self._scan_floor = new_floor
+        return stop
+
+    def serve_loop(self, fill: Callable[[], int]) -> ModelRun:
         """Drive the application cursor to the end of the sequence.
 
-        ``fill`` is the policy's prefetch hook, called at every step after
-        completions are absorbed.
+        ``fill`` is the policy's prefetch hook, called after completions
+        are absorbed.  It returns a position: until a fetch lands, it runs
+        again only once a hit moves its block's next use past that
+        position (-1: at every step).
         """
         blocks = self.blocks
         n = len(blocks)
+        successors = self.index.successors
+        cache, landing = self.cache, self.landing
+        victims = self.victims
+        watch = -1
         while self.cursor < n:
-            self.absorb_completions()
-            fill()
-            block = blocks[self.cursor]
-            if block in self.cache:
-                self.cursor += 1
-                self.heap.push(block, self.cursor)
+            if landing and landing[0][0] <= self.time:
+                self.absorb_completions()
+                watch = -1
+            if watch < 0:
+                watch = fill()
+            cursor = self.cursor
+            block = blocks[cursor]
+            if block in cache:
+                next_use = successors[cursor]
+                heapq.heappush(victims, (-next_use, block))
+                if next_use > watch:
+                    watch = -1
+                self.cursor = cursor + 1
                 self.time += 1.0
                 continue
-            if block in self.in_flight:
+            completion = self.in_flight.get(block)
+            if completion is None:
+                # Demand fetch: at the cursor do-no-harm is always satisfiable.
+                victim, next_use = self.choose_victim(cursor)
+                if victim is False:
+                    raise RuntimeError("model cache wedged — cannot happen")
+                self.issue(block, victim, next_use, cursor)
                 completion = self.in_flight[block]
-                self.stall += completion - self.time
-                self.time = completion
-                continue
-            # Demand fetch: at the cursor do-no-harm is always satisfiable.
-            victim = self.choose_victim(self.cursor)
-            if victim is False:
-                raise RuntimeError("model cache wedged — cannot happen")
-            self.issue(block, victim, self.cursor)
-            completion = self.in_flight[block]
             self.stall += completion - self.time
             self.time = completion
         self.absorb_completions()
@@ -198,43 +292,16 @@ def run_aggressive_model(
     A disk accepts a new batch only when it has finished all previously
     issued fetches; evictions happen at batch-construction time.
     """
+    _check_at_least_one("batch_size", batch_size)
     state = _ModelState(
         blocks, cache_blocks, fetch_time, num_disks, disk_of, initial_cache
     )
-
-    def fill() -> None:
-        budgets = {
-            disk: batch_size
-            for disk in range(num_disks)
-            if state.busy_until[disk] <= state.time
-        }
-        if not budgets:
-            return
-        new_floor: Optional[int] = None
-        for position in state.missing_positions(len(state.blocks)):
-            block = state.blocks[position]
-            disk = disk_of(block)
-            budget = budgets.get(disk, 0)
-            if budget == 0:
-                if new_floor is None:
-                    new_floor = position
-                if all(b == 0 for b in budgets.values()):
-                    break
-                continue
-            victim = state.choose_victim(position)
-            if victim is False:
-                if new_floor is None:
-                    new_floor = position
-                break
-            state.issue(block, victim, position)
-            budgets[disk] = budget - 1
-        else:
-            if new_floor is None:
-                new_floor = len(state.blocks)
-        if new_floor is not None:
-            state._scan_floor = max(state._scan_floor, new_floor)
-
-    return state.serve_loop(fill)
+    # The fill returns where do-no-harm refused: every resident block is
+    # then needed by that position, and stays so until a fetch lands or a
+    # hit moves its block's next use past it.
+    return state.serve_loop(
+        partial(state.fill_free_disks, batch_size, state.choose_victim)
+    )
 
 
 def run_fixed_horizon_model(
@@ -247,32 +314,34 @@ def run_fixed_horizon_model(
     initial_cache: Collection[int] = (),
 ) -> ModelRun:
     """Fixed horizon in the theoretical model (H references lookahead)."""
+    _check_at_least_one("horizon", horizon)
     state = _ModelState(
         blocks, cache_blocks, fetch_time, num_disks, disk_of, initial_cache
     )
 
-    def fill() -> None:
+    def fill() -> int:
         boundary = state.cursor + horizon
         stop: Optional[int] = None
         for position in state.missing_positions(boundary):
             block = state.blocks[position]
             victim: Optional[int]
+            next_use = 0
             if state.occupied < state.cache_blocks:
                 victim = None
             else:
-                victim = state.heap.best_victim(state.cursor)
-                if victim is None:
-                    stop = position
-                    break
+                next_use = state.furthest()
                 # The boundary can lie past the end of the sequence, so
                 # "never again" (== index.never) must stay evictable here.
-                next_use = state.index.next_use(victim, state.cursor)
-                if next_use != state.index.never and next_use <= boundary:
+                if next_use < 0 or (
+                    next_use != state.index.never and next_use <= boundary
+                ):
                     stop = position
                     break
-            state.issue(block, victim, position)
+                victim = state.victims[0][1]
+            state.issue(block, victim, next_use, position)
         floor = stop if stop is not None else boundary
         state._scan_floor = max(state._scan_floor, min(floor, len(state.blocks)))
+        return -1  # the horizon moves with the cursor
 
     return state.serve_loop(fill)
 
@@ -289,7 +358,7 @@ def run_demand_model(
     state = _ModelState(
         blocks, cache_blocks, fetch_time, num_disks, disk_of, initial_cache
     )
-    return state.serve_loop(lambda: None)
+    return state.serve_loop(lambda: len(state.blocks))
 
 
 def run_reverse_aggressive_model(
@@ -332,59 +401,32 @@ def run_reverse_aggressive_model(
     )
     eviction_pos = [0]
 
-    def scheduled_victim(fetch_position: int) -> Victim:
+    def scheduled_victim(fetch_position: int) -> Choice:
         if state.occupied < state.cache_blocks:
-            return None
+            return None, 0
         position = eviction_pos[0]
         while position < len(evictions):
             release, block = evictions[position]
             if release > state.cursor:
                 eviction_pos[0] = position
-                return False
+                return False, 0
             if block in state.cache:
                 # index.never > any real fetch position: one comparison.
-                if state.index.next_use(block, state.cursor) <= fetch_position:
+                next_use = state.index.next_use(block, state.cursor)
+                if next_use <= fetch_position:
                     eviction_pos[0] = position
-                    return False
+                    return False, 0
                 eviction_pos[0] = position + 1
-                return block
+                return block, next_use
             if block in state.in_flight:
                 eviction_pos[0] = position
-                return False
+                return False, 0
             position += 1
         eviction_pos[0] = position
-        return False
+        return False, 0
 
-    def fill() -> None:
-        budgets = {
-            disk: batch_size
-            for disk in range(num_disks)
-            if state.busy_until[disk] <= state.time
-        }
-        if not budgets:
-            return
-        new_floor: Optional[int] = None
-        for position in state.missing_positions(len(state.blocks)):
-            block = state.blocks[position]
-            disk = disk_of(block)
-            budget = budgets.get(disk, 0)
-            if budget == 0:
-                if new_floor is None:
-                    new_floor = position
-                if all(b == 0 for b in budgets.values()):
-                    break
-                continue
-            victim = scheduled_victim(position)
-            if victim is False:
-                if new_floor is None:
-                    new_floor = position
-                break
-            state.issue(block, victim, position)
-            budgets[disk] = budget - 1
-        else:
-            if new_floor is None:
-                new_floor = len(state.blocks)
-        if new_floor is not None:
-            state._scan_floor = max(state._scan_floor, new_floor)
+    def fill() -> int:
+        state.fill_free_disks(batch_size, scheduled_victim)
+        return -1  # the schedule releases victims as the cursor moves
 
     return state.serve_loop(fill)

@@ -63,6 +63,11 @@ class TestDoNoHarm:
 
 
 class TestBatching:
+    @pytest.mark.parametrize("batch_size", [0, -1, float("nan")])
+    def test_out_of_range_batch_size_is_refused_when_built(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            Aggressive(batch_size=batch_size)
+
     def test_table6_defaults(self):
         assert batch_size_for(1) == 80
         assert batch_size_for(2) == 40

@@ -342,3 +342,29 @@ class TestEndToEnd:
         result = run(blocks, policy="forestall", num_disks=3, cache_blocks=6)
         total = result.compute_ms + result.driver_ms + result.stall_ms
         assert result.elapsed_ms == pytest.approx(total)
+
+
+class TestParameters:
+    """Out-of-range parameters are refused when the policy is built, with
+    the parameter named; they used to run silently or fail mid-run."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"fixed_estimate": math.nan},
+        {"fixed_estimate": 0},
+        {"fixed_estimate": -1.0},
+        {"horizon": -1},
+        {"history": 0},  # a ZeroDivisionError in the first survey
+        {"lookahead_caches": 0},
+        {"batch_size": 0},
+        {"fast_disk_threshold_ms": math.nan},
+        {"overestimate_factor": 0},
+    ])
+    def test_out_of_range_parameters_are_refused(self, kwargs):
+        (name, _), = kwargs.items()
+        with pytest.raises(ValueError, match=name):
+            Forestall(**kwargs)
+
+    def test_edge_values_in_range_are_kept(self):
+        policy = Forestall(horizon=0, history=1, lookahead_caches=1,
+                           fixed_estimate=0.5, fast_disk_threshold_ms=0.0)
+        assert policy.horizon == 0 and policy.history == 1

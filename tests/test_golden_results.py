@@ -22,6 +22,7 @@ import json
 import pytest
 
 from repro.core import SimConfig, Simulator, make_policy
+from repro.runner import result_digest
 from repro.trace import build as build_workload
 from repro.trace import cache_blocks_for
 
@@ -52,12 +53,8 @@ def cell_id(cell) -> str:
     return f"{trace}/{policy}/d{disks}/{discipline}{suffix}"
 
 
-def run_cell(cell, observer=None) -> str:
-    """Run one cell and digest its complete serialized outcome.
-
-    ``observer`` lets tests/test_obs.py assert the read-only guarantee:
-    digests must be identical with a ``repro.obs.Observer`` attached.
-    """
+def simulate(cell, observer=None):
+    """Run one cell: its result, and its timeline's events when recorded."""
     trace_name, policy, disks, discipline, record_timeline = cell
     trace = build_workload(trace_name, scale=SCALE)
     config = SimConfig(
@@ -68,9 +65,19 @@ def run_cell(cell, observer=None) -> str:
     sim = Simulator(trace, make_policy(policy), disks, config,
                     observer=observer)
     result = sim.run()
+    return result, sim.timeline.events if record_timeline else None
+
+
+def run_cell(cell, observer=None) -> str:
+    """Run one cell and digest its complete serialized outcome.
+
+    ``observer`` lets tests/test_obs.py assert the read-only guarantee:
+    digests must be identical with a ``repro.obs.Observer`` attached.
+    """
+    result, timeline = simulate(cell, observer)
     payload = dataclasses.asdict(result)
-    if record_timeline:
-        payload["timeline"] = sim.timeline.events
+    if timeline is not None:
+        payload["timeline"] = timeline
     # json renders floats via repr: exact, so any ULP drift changes the digest.
     serialized = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(serialized.encode("utf-8")).hexdigest()
@@ -101,6 +108,16 @@ def test_results_bit_identical_to_seed(cell):
         f"{cell_id(cell)}: SimulationResult serialization changed — an "
         "optimization altered simulated behaviour (see docs/PERFORMANCE.md)"
     )
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=cell_id)
+def test_runner_digest_and_field_dict_match_asdict(cell):
+    """The runner digests (and journals) ``field_dict``, not asdict."""
+    result, timeline = simulate(cell)
+    fields = result.field_dict()
+    assert fields == dataclasses.asdict(result)
+    assert list(fields) == list(dataclasses.asdict(result))
+    assert result_digest(result, timeline) == EXPECTED[cell_id(cell)]
 
 
 def test_every_cell_has_a_pinned_digest():

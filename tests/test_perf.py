@@ -195,3 +195,52 @@ class TestProfileFlag:
         out = capsys.readouterr().out
         assert code == 0
         assert "phase breakdown" not in out
+
+
+class TestPerfGate:
+    """CI's complexity gate (``benchmarks/bench_perf.py``) also gates
+    construction, where reverse aggressive plans, for rows that carry it."""
+
+    def gate(self, tmp_path, base_rows, records):
+        import json
+
+        from benchmarks.bench_perf import check_baseline
+
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"cells": base_rows}))
+        return check_baseline(records, str(path), 2.0)
+
+    def test_slow_construction_fails_only_where_the_baseline_has_it(
+            self, tmp_path):
+        base = [{"id": "a", "wall_s": 1.0, "construct_s": 0.01},
+                {"id": "b", "wall_s": 1.0}]
+        records = [{"id": "a", "wall_s": 1.5, "construct_s": 0.05},
+                   {"id": "b", "wall_s": 1.5, "construct_s": 0.05}]
+        regressions = self.gate(tmp_path, base, records)
+        assert [cell for cell, _ in regressions] == ["a construction"]
+        assert records[0]["vs_baseline_construct"] == 5.0
+        assert "vs_baseline_construct" not in records[1]
+        assert records[1]["vs_baseline"] == 1.5
+
+    def test_slow_run_still_fails(self, tmp_path):
+        regressions = self.gate(
+            tmp_path, [{"id": "a", "wall_s": 1.0, "construct_s": 0.01}],
+            [{"id": "a", "wall_s": 2.5, "construct_s": 0.01}],
+        )
+        assert [cell for cell, _ in regressions] == ["a"]
+
+    def test_quick_set_gates_a_reverse_aggressive_construction(self):
+        import json
+
+        from benchmarks.bench_perf import QUICK_CELLS, cell_id
+
+        from pathlib import Path
+
+        baseline = Path(__file__).resolve().parents[1] / "benchmarks" \
+            / "BENCH_perf_baseline.json"
+        with open(baseline) as handle:
+            rows = {row["id"]: row for row in json.load(handle)["cells"]}
+        planned = [cell_id(*cell) for cell in QUICK_CELLS
+                   if cell[1] == "reverse-aggressive"]
+        assert planned and all(rows[cell]["construct_s"] > 0
+                               for cell in planned)

@@ -1,6 +1,11 @@
 """SimulationResult: derived quantities, accounting check, rendering."""
 
+import dataclasses
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.results import SimulationResult
 
@@ -90,6 +95,49 @@ class TestRendering:
         r = result()
         r.stall_breakdown = {"failover": 1.0}
         assert "stall_breakdown" not in dataclasses.asdict(r)
+
+
+numbers = st.floats(allow_nan=False, allow_infinity=False, width=64)
+counts = st.integers(min_value=0, max_value=10**9)
+results = st.builds(
+    SimulationResult,
+    trace_name=st.text(max_size=12), policy_name=st.text(max_size=24),
+    num_disks=st.integers(1, 16), cache_blocks=counts, fetches=counts,
+    compute_ms=numbers, driver_ms=numbers, stall_ms=numbers,
+    elapsed_ms=numbers, average_fetch_ms=numbers, disk_utilization=numbers,
+    per_disk_busy_ms=st.lists(numbers, max_size=8), cache_hits=counts,
+    references=counts, retry_ms=numbers, failover_reads=counts,
+    faults_injected=counts,
+    extras=st.dictionaries(st.text(max_size=16), st.one_of(counts, numbers),
+                           max_size=8),
+)
+
+
+class TestFieldDict:
+    """``field_dict`` replaces ``dataclasses.asdict`` in digests and journal
+    records, so it must be asdict exactly: keys, order and values."""
+
+    @given(r=results)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_asdict(self, r):
+        fields = r.field_dict()
+        expected = dataclasses.asdict(r)
+        assert fields == expected
+        assert list(fields) == list(expected)
+        assert json.dumps(fields) == json.dumps(expected)
+
+    def test_copies_the_containers(self):
+        r = result(per_disk_busy_ms=[1.0, 2.0], extras={"writes": 3})
+        fields = r.field_dict()
+        fields["per_disk_busy_ms"].append(3.0)
+        fields["extras"]["flushes"] = 1
+        assert r.per_disk_busy_ms == [1.0, 2.0]
+        assert r.extras == {"writes": 3}
+
+    def test_leaves_out_the_stall_breakdown(self):
+        r = result()
+        r.stall_breakdown = {"failover": 1.0}
+        assert "stall_breakdown" not in r.field_dict()
 
 
 class TestSimpleDrive:

@@ -139,3 +139,30 @@ class TestForwardExecution:
     def test_name_reflects_parameters(self):
         assert ReverseAggressive().name == "reverse-aggressive"
         assert "F=8" in ReverseAggressive(fetch_time_estimate=8).name
+
+
+class TestParameters:
+    """A NaN fetch-time estimate made the planner's model spin forever;
+    out-of-range parameters are now refused when the policy is built."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"fetch_time_estimate": float("nan")},
+        {"fetch_time_estimate": 0},
+        {"fetch_time_estimate": -2},
+        {"fetch_time_estimate": float("inf")},
+        {"reverse_batch_size": 0},
+        {"forward_batch_size": 0},
+        {"nominal_access_ms": float("nan")},
+        {"nominal_access_ms": 0},
+    ])
+    def test_out_of_range_parameters_are_refused(self, kwargs):
+        (name, _), = kwargs.items()
+        with pytest.raises(ValueError, match=name):
+            ReverseAggressive(**kwargs)
+
+    def test_fractional_estimate_is_kept(self):
+        policy = TestScheduleConstruction()._bound_policy(
+            [0, 1, 2, 3, 0, 1, 2, 3], cache_blocks=3,
+            fetch_time_estimate=0.5, reverse_batch_size=1,
+        )
+        assert policy.fetch_time_estimate == 0.5

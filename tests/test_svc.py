@@ -399,6 +399,61 @@ class TestCellFromSpec:
         with pytest.raises(SpecError, match=message):
             cell_from_spec(spec)
 
+    @pytest.mark.parametrize("policy,kwargs,message", [
+        # A NaN estimate never lands in the planner's model: the worker
+        # spun forever, and cell_timeout_s defaults to None.
+        ("reverse-aggressive", {"fetch_time_estimate": float("nan")},
+         "fetch_time_estimate"),
+        ("reverse-aggressive", {"fetch_time_estimate": 0},
+         "fetch_time_estimate"),
+        ("reverse-aggressive", {"fetch_time_estimate": -2},
+         "fetch_time_estimate"),
+        ("reverse-aggressive", {"fetch_time_estimate": float("inf")},
+         "fetch_time_estimate"),
+        ("reverse-aggressive", {"reverse_batch_size": 0},
+         "reverse_batch_size"),
+        ("reverse-aggressive", {"nominal_access_ms": float("nan")},
+         "nominal_access_ms"),
+        ("forestall", {"fixed_estimate": float("nan")}, "fixed_estimate"),
+        ("forestall", {"fixed_estimate": 0}, "fixed_estimate"),
+        ("forestall", {"horizon": -1}, "horizon"),
+        ("forestall", {"lookahead_caches": 0}, "lookahead_caches"),
+        ("forestall", {"history": 0}, "history"),
+        ("fixed-horizon", {"horizon": 0}, "horizon"),
+        ("aggressive", {"batch_size": 0}, "batch_size"),
+        ("forestall", {"bogus": 1}, "bogus"),
+    ])
+    def test_refused_policy_kwargs_raise_spec_error(
+            self, policy, kwargs, message):
+        with pytest.raises(SpecError, match=message):
+            cell_from_spec({"trace": "ld", "policy": policy, "disks": 2,
+                            "policy_kwargs": kwargs})
+
+    @pytest.mark.parametrize("params,message", [
+        ({"fetch_times": [4, float("nan")]}, "fetch_time_estimate"),
+        ({"fetch_times": [4], "batch_sizes": [8, 0]}, "reverse_batch_size"),
+        ({"fetch_times": []}, "fetch_times grid is empty"),
+    ])
+    def test_every_tuned_reverse_grid_point_is_checked(self, params, message):
+        with pytest.raises(SpecError, match=message):
+            cell_from_spec({"trace": "ld", "policy": "reverse-aggressive",
+                            "disks": 2, "kind": "tuned-reverse",
+                            "params": params})
+
+    def test_valid_policy_kwargs_and_grids_still_build_cells(self):
+        cell = cell_from_spec({
+            "trace": "ld", "policy": "reverse-aggressive", "disks": 2,
+            "policy_kwargs": {"fetch_time_estimate": 2.5,
+                              "reverse_batch_size": 4},
+        })
+        assert cell.policy_kwargs["fetch_time_estimate"] == 2.5
+        cell = cell_from_spec({
+            "trace": "ld", "policy": "reverse-aggressive", "disks": 2,
+            "kind": "tuned-reverse",
+            "params": {"fetch_times": [4, 8], "batch_sizes": [None, 8]},
+        })
+        assert cell.kind == "tuned-reverse"
+
 
 # -- SimulationService ------------------------------------------------------------------
 

@@ -173,6 +173,30 @@ class TestHttpSurface:
 
         http_test(scenario, store_dir=str(tmp_path / "store"), jobs=1)
 
+    def test_refused_policy_kwargs_are_400_before_dispatch(
+            self, test_kinds, tmp_path):
+        async def scenario(service, port):
+            # JSON admits NaN; a NaN fetch-time estimate used to reach a
+            # worker whose planner never returned.
+            status, _, payload = await fetch(
+                port, "POST", "/v1/cells",
+                dict(SPEC, policy="reverse-aggressive",
+                     policy_kwargs={"fetch_time_estimate": float("nan")}),
+            )
+            assert status == 400, payload
+            assert "fetch_time_estimate" in payload["error"]
+            status, _, payload = await fetch(
+                port, "POST", "/v1/cells",
+                dict(SPEC, policy="forestall", policy_kwargs={"history": 0}),
+            )
+            assert status == 400 and "history" in payload["error"]
+            assert service.pool.counters["dispatched"] == 0
+
+        # Short timeouts, so that a service that admits the cell fails this
+        # test instead of waiting on the spinning worker.
+        http_test(scenario, store_dir=str(tmp_path / "store"), jobs=1,
+                  request_timeout_s=5.0, cell_timeout_s=5.0)
+
     def test_unknown_path_404_wrong_method_405(self, test_kinds, tmp_path):
         async def scenario(service, port):
             status, _, _ = await fetch(port, "GET", "/v2/nope")
