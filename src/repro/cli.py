@@ -454,8 +454,6 @@ def cmd_serve(args) -> int:
         cell_timeout_s=args.timeout_s,
         max_retries=args.retries,
         retry_backoff_s=args.retry_backoff_s,
-        breaker_failures=args.breaker_failures,
-        breaker_reset_s=args.breaker_reset_s,
         trace=trace,
         trace_out=args.trace_out,
         limits=limits,
@@ -781,15 +779,6 @@ def main(argv=None) -> int:
         help="base crash-retry backoff, doubling per attempt (default 0.5)",
     )
     serve_parser.add_argument(
-        "--breaker-failures", type=int, default=5, metavar="N",
-        help="consecutive crash/timeouts that trip the circuit breaker "
-        "(default 5)",
-    )
-    serve_parser.add_argument(
-        "--breaker-reset-s", type=float, default=30.0, metavar="S",
-        help="open-breaker cooldown before a half-open probe (default 30)",
-    )
-    serve_parser.add_argument(
         "--max-minutes", type=float, default=None, metavar="M",
         help="drain and exit 76 after M minutes (smoke tests, cron)",
     )
@@ -907,9 +896,9 @@ def main(argv=None) -> int:
         "top",
         help="live ops console for a running service",
         description="Poll GET /v1/status and /v1/metrics on an interval "
-        "and redraw one terminal frame: breaker state, admission "
-        "occupancy, worker utilization, store hit ratio, and request "
-        "latency quantiles. Read-only.",
+        "and redraw one terminal frame: admission occupancy, worker "
+        "utilization, crashes and respawns, store hit ratio, served "
+        "counts, and request latency quantiles. Read-only.",
     )
     top_parser.add_argument("--host", default="127.0.0.1")
     top_parser.add_argument("--port", type=int, default=8642)

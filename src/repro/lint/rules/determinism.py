@@ -125,7 +125,7 @@ class WallClockRule(Rule):
     #: enforces per-cell timeouts, and backs off crash retries against the
     #: host clock, and its bit-identity tests prove none of that can leak
     #: into simulated results.  ``repro.svc`` is the same kind of
-    #: orchestration one layer up — request timeouts, breaker cooldowns,
+    #: orchestration one layer up — request timeouts, crash-retry backoff
     #: and request-latency histograms are host-clock by nature, and the
     #: service's bit-identity chaos tests prove results stay unaffected.
     #: ``repro.lint`` times the *analyzer itself* (the CI/pre-commit speed

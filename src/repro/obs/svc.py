@@ -10,8 +10,8 @@ layers it crosses emit typed spans against that ID:
 ``singleflight.join``
     A coalesced follower waiting on another request's in-flight compute.
 ``admission.wait``
-    The flight leader's path from store miss through breaker and
-    admission checks to pool submission (rejections end the span early).
+    The flight leader's path from store miss through the admission
+    checks to pool submission (rejections end the span early).
 ``pool.queue``
     Submission to dispatch: time spent waiting for a free worker.
 ``worker.execute``
@@ -23,7 +23,7 @@ layers it crosses emit typed spans against that ID:
     Result-store lookups and durable writes.
 ``overload.shed``
     A request refused before any work happened — deadline-aware shed,
-    queue full, breaker, or draining — with the reason, projected wait,
+    queue full, or draining — with the reason, projected wait,
     and retry hint in its args (PR 10's overload control).
 
 Spans export into the same Chrome ``trace_event`` document as the

@@ -710,10 +710,11 @@ class SupervisedPool:
             except (EOFError, OSError):
                 self.counters["crashes"] += 1
                 self.counters["respawns"] += 1
-                exitcode = worker.process.exitcode
                 assert worker.task is not None  # busy_conns filters on busy
                 cell_id = worker.task[0].cell_id
+                # Reap first: the pipe's EOF can beat the exit status.
                 worker.process.join(_KILL_GRACE_S)
+                exitcode = worker.process.exitcode
                 worker.conn.close()
                 replacement = self._spawn()
                 self._handle_worker_failure(

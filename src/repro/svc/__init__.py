@@ -4,8 +4,8 @@ The service turns the batch runner into a long-lived, chaos-tested
 daemon: cells arrive over HTTP/JSON, are deduplicated against a
 :class:`ResultStore` — a run journal indexed by config hash, so a second
 identical request is O(1) and bit-identical — coalesced while in flight,
-guarded by admission control and a circuit breaker, and drained
-gracefully on signals using the runner's resumable exit codes.  ``repro.svc.chaos`` provides the
+guarded by admission control, and drained gracefully on signals using
+the runner's resumable exit codes.  ``repro.svc.chaos`` provides the
 fault-injection hooks the chaos test suite drives.
 
 See ``docs/SERVICE.md`` for the API surface, the store's durability
@@ -13,7 +13,6 @@ model, and the invariants the chaos harness asserts.
 """
 
 from repro.svc.admission import AdmissionController
-from repro.svc.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.svc.chaos import (
     CHAOS_EXIT_CODE,
     CRASH_ENV,
@@ -53,10 +52,6 @@ from repro.svc.top import render_top, run_top
 
 __all__ = [
     "AdmissionController",
-    "CircuitBreaker",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
     "CHAOS_EXIT_CODE",
     "CRASH_ENV",
     "RAISE_ENV",

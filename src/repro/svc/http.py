@@ -31,7 +31,7 @@ Routes (all JSON):
 ``GET /v1/healthz``
     ``200 {"ok": true}`` — or ``503`` once draining.
 ``GET /v1/status``
-    Breaker, admission, pool, store, and HTTP-limit status.
+    Admission, pool, store, and HTTP-limit status.
 ``GET /v1/metrics``
     Content-negotiated: the full :class:`repro.obs.MetricsRegistry`
     JSON export by default (unchanged), or Prometheus text exposition
@@ -765,9 +765,10 @@ async def serve_async(
 ) -> int:
     """Run the service until SIGINT/SIGTERM (or ``deadline_s``); returns
     the process exit code (75 interrupted, 76 deadline)."""
-    # Store recovery (log replay + shard scan) runs on the loop, but at
-    # startup, before the listener exists — nothing to stall yet, and
-    # recovering before accepting is what makes restart crash-safe.
+    # Opening the store (one journal scan that builds the offset index)
+    # runs on the loop, but at startup, before the listener exists —
+    # nothing to stall yet, and recovering before accepting is what makes
+    # restart crash-safe.
     service = SimulationService(config, metrics=metrics)  # simlint: disable=SL010
     server = ServiceServer(service, host, port)
     await server.start()

@@ -49,8 +49,11 @@ class ProtocolLimits:
     """Wire-protocol bounds for one :class:`~repro.svc.http.ServiceServer`.
 
     Every field has a conservative default, so a server constructed with
-    ``ProtocolLimits()`` is already hardened; the CLI exposes each as a
-    ``serve`` flag.  Size limits are clamped to the hard ceilings above.
+    ``ProtocolLimits()`` is already hardened.  The CLI exposes seven of
+    them as ``serve`` flags; ``max_request_line_bytes``,
+    ``keepalive_idle_s``, ``events_drain_timeout_s`` and
+    ``events_buffer_bytes`` are set only here.  Size limits are clamped
+    to the hard ceilings above.
     """
 
     #: Maximum bytes of request line + headers before 431.

@@ -9,13 +9,14 @@ travels:
    identical to the computed path (the digest pins every float).
 2. **Single-flight** — a miss joins the in-flight computation for its
    config hash; only the flight leader goes further.
-3. **Circuit breaker** — open: reject 503 without touching the pool.
-4. **Admission** — bounded queue full: reject 429.  Otherwise the cell
+3. **Admission** — bounded queue full: reject 429.  Otherwise the cell
    is submitted to the long-lived :class:`~repro.runner.pool
    .SupervisedPool` running ``serve()`` in a dedicated thread.
-5. **Completion** — the pool's terminal record crosses back onto the
-   event loop, feeds the breaker, lands in the store (successes), and
-   resolves every coalesced waiter.
+4. **Completion** — the pool's terminal record crosses back onto the
+   event loop, lands in the store (successes), and resolves every
+   coalesced waiter.  A crashing cell costs only itself: the pool
+   retries it at most ``max_retries`` times, then reports one ``crash``
+   failure to its own waiters.
 
 Per-request timeouts cancel cooperatively: a timed-out waiter leaves its
 flight, and when the *last* waiter is gone the pool drops or kills the
@@ -62,9 +63,13 @@ from repro.runner.journal import SCHEMA_VERSION
 from repro.runner.plan import Cell
 from repro.runner.pool import PoolStatus, SupervisedPool
 from repro.runner.runner import EXIT_DEADLINE, EXIT_INTERRUPTED
-from repro.runner.execute import cell_policies, sim_config_for, validate_names
+from repro.runner.execute import (
+    CELL_KINDS,
+    cell_policies,
+    sim_config_for,
+    validate_names,
+)
 from repro.svc.admission import AdmissionController
-from repro.svc.breaker import CircuitBreaker
 from repro.svc.limits import ProtocolLimits
 from repro.svc.singleflight import SingleFlight
 from repro.svc.store import ResultStore
@@ -88,7 +93,7 @@ class Overloaded(Exception):
     def __init__(self, status: int, reason: str,
                  retry_after_s: float = 1.0) -> None:
         super().__init__(reason)
-        self.status = status  # 429 (queue full) or 503 (breaker/draining)
+        self.status = status  # 429 (queue full) or 503 (draining)
         self.reason = reason
         self.retry_after_s = retry_after_s
 
@@ -202,6 +207,11 @@ def cell_from_spec(spec: Any) -> Cell:
     try:
         validate_names(kwargs["trace"], kwargs["policy"])
         cell = Cell(**kwargs)
+        if cell.kind not in CELL_KINDS:
+            raise ValueError(
+                f"unknown cell kind {cell.kind!r}; valid kinds: "
+                f"{', '.join(sorted(CELL_KINDS))}"
+            )
         # SimConfig and the policies refuse out-of-range values (negative
         # or non-finite times, unknown model names, a NaN fetch-time
         # estimate, unknown policy arguments, ...): a 400 here, not a
@@ -226,8 +236,6 @@ class ServiceConfig:
     cell_timeout_s: Optional[float] = None
     max_retries: int = 2
     retry_backoff_s: float = 0.5
-    breaker_failures: int = 5
-    breaker_reset_s: float = 30.0
     #: Ring-buffer capacity of the progress event stream.
     event_buffer: int = 1024
     #: Request tracing (``repro.obs.svc`` spans + per-request simulation
@@ -255,12 +263,6 @@ class SimulationService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._clock = clock
         self.store = ResultStore(config.store_dir, metrics=self.metrics)
-        self.breaker = CircuitBreaker(
-            failure_threshold=config.breaker_failures,
-            reset_timeout_s=config.breaker_reset_s,
-            clock=clock,
-            metrics=self.metrics,
-        )
         self.admission = AdmissionController(
             config.queue_limit, metrics=self.metrics
         )
@@ -360,16 +362,13 @@ class SimulationService:
             # Feed the deadline-aware admission estimator: projected
             # queue waits are only as honest as this EWMA.
             self.admission.note_service_time(float(wall_s))
-        failure = record.get("failure")
         corr_id = record.get("corr_id")
-        state_before = self.breaker.state
         # Waiters receive the journal record (no live result object, no
         # correlation/telemetry transport fields) so computed responses
         # serialize — and match what a later store hit returns, byte for
         # byte.
         record = _storable(record)
         if record["status"] == "ok":
-            self.breaker.record_success()
             try:
                 with maybe_span(
                     self.tracer, SPAN_STORE_PUT, corr_id or "",
@@ -389,25 +388,13 @@ class SimulationService:
                     extra={"hash": record["hash"], "error": str(exc),
                            "corr_id": corr_id},
                 )
-        elif failure in ("crash", "timeout"):
-            self.breaker.record_failure()
-        elif failure == "exception":
-            # Deterministic in-cell failure: the worker itself is healthy.
-            self.breaker.record_success()
-        if record["status"] != "ok":
+        else:
             _log.warning(
                 "cell failed",
                 extra={"hash": record["hash"],
                        "cell_id": record.get("cell_id"),
-                       "failure": failure, "corr_id": corr_id},
-            )
-        if self.breaker.state != state_before:
-            self._publish({"type": "breaker", "from": state_before,
-                           "to": self.breaker.state})
-            _log.warning(
-                "breaker transition",
-                extra={"from_state": state_before,
-                       "to_state": self.breaker.state},
+                       "failure": record.get("failure"),
+                       "corr_id": corr_id},
             )
         self.flights.resolve(record["hash"], record)
         self._publish(_event_for(record, corr_id))
@@ -463,7 +450,7 @@ class SimulationService:
         if leader:
             # No awaits between join and submit: the leader's admission
             # decisions are atomic on the event loop.  The span measures
-            # miss detection through breaker/admission checks to pool
+            # miss detection through the admission checks to pool
             # submission (rejections end it early, exception included).
             try:
                 with maybe_span(
@@ -521,16 +508,6 @@ class SimulationService:
         if self.draining:
             self._note_shed(cell, corr_id, "draining", 5.0)
             raise Overloaded(503, "service is draining", 5.0)
-        if not self.breaker.allow():
-            retry = self.breaker.retry_after_s or 1.0
-            self._note_shed(cell, corr_id, "breaker", retry)
-            raise Overloaded(
-                503,
-                f"circuit breaker {self.breaker.state} after "
-                f"{self.breaker.consecutive_failures} consecutive pool "
-                "failures",
-                retry,
-            )
         admitted, reason, retry_after_s = self.admission.admit(
             deadline_s or 0.0, self.config.jobs
         )
@@ -695,7 +672,6 @@ class SimulationService:
         return {
             "draining": self.draining,
             "drain_reason": self.drain_reason,
-            "breaker": self.breaker.status(),
             "admission": self.admission.status(),
             "pool": {
                 "jobs": self.pool.jobs,

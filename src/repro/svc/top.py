@@ -1,11 +1,11 @@
 """``repro-sim top``: a live ops console over the service HTTP API.
 
 Polls ``GET /v1/status`` and ``GET /v1/metrics`` (the JSON export) on an
-interval and redraws a single terminal frame: breaker state, admission
-occupancy, per-worker utilization, store hit ratio, request counters and
-latency quantiles.  Read-only — it drives the same endpoints any
-monitoring system would, so watching the console never perturbs the
-service beyond two extra GETs per refresh.
+interval and redraws a single terminal frame: admission occupancy,
+per-worker utilization, worker crashes and respawns, store hit ratio,
+served counts and latency quantiles.  Read-only — it drives the same
+endpoints any monitoring system would, so watching the console never
+perturbs the service beyond two extra GETs per refresh.
 
 :func:`render_top` is a pure function from the two JSON documents to the
 frame text, which is what the tests exercise; :func:`run_top` owns the
@@ -19,7 +19,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 #: ANSI: cursor home + clear to end of screen (avoids full-screen flash).
 _CLEAR = "\x1b[H\x1b[J"
@@ -97,14 +97,6 @@ def render_top(status: Dict[str, Any], metrics: Dict[str, Any],
         f" ({telemetry.get('spans', 0)} spans)"
     )
 
-    breaker = status.get("breaker", {})
-    lines.append(
-        f"breaker: {breaker.get('state', '?'):9s}"
-        f" failures {breaker.get('consecutive_failures', 0)}"
-        f"/{breaker.get('failure_threshold', '?')}"
-        f"   retry-after {breaker.get('retry_after_s', 0)}s"
-    )
-
     admission = status.get("admission", {})
     limit = admission.get("limit") or 1
     in_system = admission.get("in_system", 0)
@@ -116,9 +108,12 @@ def render_top(status: Dict[str, Any], metrics: Dict[str, Any],
     )
 
     pool = status.get("pool", {})
+    counters = pool.get("counters", {})
     lines.append(
         f"pool: {pool.get('jobs', '?')} workers,"
         f" queue depth {pool.get('queue_depth', 0)}"
+        f"   crashes {counters.get('crashes', 0)}"
+        f" respawns {counters.get('respawns', 0)}"
     )
     utilization = pool.get("utilization", {})
     for worker_id in sorted(utilization, key=str):
@@ -138,14 +133,14 @@ def render_top(status: Dict[str, Any], metrics: Dict[str, Any],
     )
 
     requests = status.get("requests", {})
-    served: List[Tuple[str, int]] = sorted(
-        (name[len("svc.requests_"):], value)
-        for name, value in requests.items()
-        if name.startswith("svc.requests_")
-    )
-    if served:
+    if requests.get("svc.requests"):
+        served = " ".join(
+            f"{how}={requests.get(f'svc.served_{how}', 0)}"
+            for how in ("store", "computed", "coalesced")
+        )
         lines.append(
-            "requests: " + "  ".join(f"{k}={v}" for k, v in served)
+            f"requests: {requests['svc.requests']}   {served}"
+            f"   timeouts={requests.get('svc.request_timeouts', 0)}"
         )
 
     histograms = metrics.get("histograms", {})

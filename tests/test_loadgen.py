@@ -92,7 +92,7 @@ class TestRequestMapping:
         assert (method, path) == ("POST", "/v1/cells")
         assert json.loads(body) == INSTANT_SPEC
 
-    def test_results_targets_the_spec_hash(self):
+    def test_results_targets_the_spec_hash(self, test_kinds):
         config = LoadgenConfig(specs=[dict(INSTANT_SPEC)])
         method, path, body = _request_for(
             config, Arrival(0, 0.0, "results", 0)

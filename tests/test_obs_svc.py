@@ -638,14 +638,14 @@ def sample_status():
     return {
         "draining": False,
         "telemetry": {"tracing": True, "spans": 42},
-        "breaker": {"state": "closed", "consecutive_failures": 1,
-                    "failure_threshold": 5, "retry_after_s": 0},
         "admission": {"limit": 8, "in_system": 2, "admitted": 10,
                       "rejected": 1},
         "pool": {"jobs": 2, "queue_depth": 3,
-                 "utilization": {"0": 0.75, "1": 0.25}},
+                 "utilization": {"0": 0.75, "1": 0.25},
+                 "counters": {"crashes": 2, "respawns": 3}},
         "store": {"hit_ratio": 0.5, "resident": 7, "corrupt": 0},
-        "requests": {"svc.requests": 11, "svc.requests_x": 1},
+        "requests": {"svc.requests": 11, "svc.served_store": 6,
+                     "svc.served_computed": 4, "svc.request_timeouts": 1},
     }
 
 
@@ -662,9 +662,10 @@ class TestTopConsole:
     def test_render_top_is_a_pure_frame(self):
         frame = render_top(sample_status(), sample_metrics(), width=100)
         assert "tracing: on (42 spans)" in frame
-        assert "breaker: closed" in frame and "failures 1/5" in frame
         assert "2/8 in system" in frame
-        assert "queue depth 3" in frame
+        assert "queue depth 3" in frame and "crashes 2 respawns 3" in frame
+        assert ("requests: 11   store=6 computed=4 coalesced=0"
+                "   timeouts=1") in frame
         assert "w0:" in frame and "75.0% busy" in frame
         assert "50.0% hits" in frame and "resident 7 " in frame
         assert "latency: n=4" in frame and "p50=" in frame
@@ -682,7 +683,8 @@ class TestTopConsole:
         assert run_top(host="127.0.0.1", port=1, iterations=1) == 1
         assert "unreachable" in capsys.readouterr().out
 
-    def test_run_top_once_against_live_service(self, test_kinds, tmp_path):
+    def test_run_top_once_against_live_service(self, test_kinds, tmp_path,
+                                               capsys):
         from repro.svc import ServiceServer
 
         async def main():
@@ -691,7 +693,9 @@ class TestTopConsole:
             server = ServiceServer(service, port=0)
             await server.start()
             try:
-                await service.run_cell(kind_cell("instant", n=9))
+                cell = kind_cell("instant", n=9)
+                await service.run_cell(cell)
+                await service.run_cell(cell)
                 port = server.bound_port
                 code = await asyncio.to_thread(
                     run_top, "127.0.0.1", port, 0.01, 1
@@ -702,3 +706,7 @@ class TestTopConsole:
                 await service.drain("signal")
 
         assert asyncio.run(main()) == 0
+        # The service's own counter names reach the frame.
+        frame = capsys.readouterr().out
+        assert ("requests: 2   store=1 computed=1 coalesced=0"
+                "   timeouts=0") in frame

@@ -1,11 +1,11 @@
-"""repro.svc units: store, breaker, admission, single-flight, service.
+"""repro.svc units: store, admission, single-flight, service.
 
 The chaos suite (``tests/test_svc_chaos.py``) attacks the crash windows;
 this file pins the normal-operation semantics each component promises:
-store hits are bit-identical and O(1), the breaker's state machine
-follows closed → open → half-open → closed, admission rejects above the
-limit, single-flight computes once for N concurrent waiters, and the
-service composes them in the documented order.
+store hits are bit-identical and O(1), admission rejects above the
+limit, single-flight computes once for N concurrent waiters, a crashing
+cell costs only itself, and the service composes them in the documented
+order.
 """
 
 import asyncio
@@ -19,10 +19,6 @@ from repro.runner import Cell, Journal
 from repro.runner.execute import CELL_KINDS
 from repro.svc import (
     AdmissionController,
-    CircuitBreaker,
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
     Overloaded,
     RequestTimedOut,
     ResultStore,
@@ -34,7 +30,6 @@ from repro.svc import (
 )
 
 from tests.test_runner import (
-    FakeClock,
     _kind_always_crash,
     _kind_always_fail,
     _kind_instant,
@@ -207,86 +202,6 @@ class TestTornTailRestart:
         again, served = serve(second)
         assert served == "store" and again == record
         assert serve(first)[1] == "store"
-
-
-# -- CircuitBreaker ---------------------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def make(self, clock, **kwargs):
-        kwargs.setdefault("failure_threshold", 3)
-        kwargs.setdefault("reset_timeout_s", 30.0)
-        return CircuitBreaker(clock=clock, **kwargs)
-
-    def test_trips_after_consecutive_failures_only(self):
-        breaker = self.make(FakeClock())
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()  # streak broken
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-
-    def test_half_open_probe_after_cooldown_then_close_on_success(self):
-        clock = FakeClock(now=0.0)
-        breaker = self.make(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.state == OPEN
-        clock.advance(29.9)
-        assert not breaker.allow()
-        assert breaker.retry_after_s == pytest.approx(0.1)
-        clock.advance(0.1)
-        assert breaker.allow()  # the single half-open probe
-        assert breaker.state == HALF_OPEN
-        assert not breaker.allow()  # second request: probe slot taken
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-
-    def test_half_open_failure_reopens_for_full_cooldown(self):
-        clock = FakeClock(now=0.0)
-        breaker = self.make(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(30.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        clock.advance(29.0)
-        assert not breaker.allow()
-        clock.advance(1.0)
-        assert breaker.allow()
-
-    def test_stale_probe_unblocks_after_another_cooldown(self):
-        clock = FakeClock(now=0.0)
-        breaker = self.make(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(30.0)
-        assert breaker.allow()  # probe claimed, outcome never reported
-        clock.advance(29.9)
-        assert not breaker.allow()
-        clock.advance(0.1)
-        assert breaker.allow()  # a new probe may go
-
-    def test_metrics_record_transitions_and_state(self):
-        metrics = MetricsRegistry()
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0,
-                                 clock=clock, metrics=metrics)
-        breaker.record_failure()
-        assert metrics.to_dict()["gauges"]["svc.breaker.state"]["value"] == 2.0
-        clock.advance(5.0)
-        breaker.allow()
-        breaker.record_success()
-        counters = metrics.to_dict()["counters"]
-        assert counters["svc.breaker.to_open"] == 1
-        assert counters["svc.breaker.to_half_open"] == 1
-        assert counters["svc.breaker.to_closed"] == 1
 
 
 # -- AdmissionController ----------------------------------------------------------------
@@ -518,29 +433,23 @@ class TestSimulationService:
             assert record["failure"] == "exception"
             # Not cached: a failure is not a result.
             assert len(service.store) == 0
-            # And not a breaker strike: the worker executed correctly.
-            assert service.breaker.state == CLOSED
-            assert service.breaker.consecutive_failures == 0
 
         run_service(tmp_path, scenario)
 
-    def test_crashes_trip_the_breaker_and_reject_503(self, test_kinds, tmp_path):
+    def test_healthy_cell_served_after_crashing_cells(
+            self, test_kinds, tmp_path):
         async def scenario(service):
-            for n in range(2):
+            for n in range(5):
                 record, _ = await service.run_cell(
                     kind_cell("always-crash", n=n)
                 )
                 assert record["failure"] == "crash"
-            assert service.breaker.state == OPEN
-            with pytest.raises(Overloaded) as exc_info:
-                await service.run_cell(kind_cell("instant", n=1))
-            assert exc_info.value.status == 503
-            assert exc_info.value.retry_after_s > 0
-            # The rejected cell never reached the pool.
-            assert service.pool.counters["dispatched"] == 2 * 2  # 1 + retry
+            # Other cells' crashes are not held against this one.
+            record, served = await service.run_cell(kind_cell("instant", n=1))
+            assert served == "computed" and record["status"] == "ok"
+            assert service.pool.counters["crashes"] == 5 * 2  # 1 + retry
 
-        run_service(tmp_path, scenario, breaker_failures=2, max_retries=1,
-                    retry_backoff_s=0.05)
+        run_service(tmp_path, scenario, max_retries=1, retry_backoff_s=0.05)
 
     def test_admission_rejects_429_beyond_queue_limit(self, test_kinds, tmp_path):
         async def scenario(service):
@@ -635,7 +544,6 @@ class TestSimulationService:
         async def scenario(service):
             await service.run_cell(kind_cell("instant", n=1))
             status = service.status()
-            assert status["breaker"]["state"] == CLOSED
             assert status["admission"]["limit"] == service.admission.limit
             assert status["store"]["writes"] == 1
             assert status["pool"]["counters"]["ok"] == 1

@@ -80,7 +80,7 @@ class TestHttpSurface:
             assert status == 200 and payload["ok"] is True
             status, _, payload = await fetch(port, "GET", "/v1/status")
             assert status == 200
-            assert payload["breaker"]["state"] == "closed"
+            assert payload["admission"]["in_system"] == 0
             status, _, payload = await fetch(port, "GET", "/v1/metrics")
             assert status == 200 and "counters" in payload
             status, _, payload = await fetch(port, "GET", "/v1/store")
@@ -124,6 +124,15 @@ class TestHttpSurface:
                 port, "POST", "/v1/cells", dict(SPEC, trace="nope")
             )
             assert status == 400 and "unknown trace" in payload["error"]
+            # An unregistered kind is refused here, not in a worker.
+            status, _, payload = await fetch(
+                port, "POST", "/v1/cells", dict(SPEC, kind="nope")
+            )
+            assert status == 400 and "unknown cell kind 'nope'" in (
+                payload["error"]
+            )
+            assert "valid kinds:" in payload["error"]
+            assert service.pool.counters["dispatched"] == 0
             status, _, payload = await fetch(port, "POST", "/v1/cells")
             assert status == 400 and "JSON body" in payload["error"]
             # Raw garbage body.
@@ -210,18 +219,22 @@ class TestHttpSurface:
 
     def test_failure_record_maps_to_500(self, test_kinds, tmp_path):
         async def scenario(service, port):
-            status, _, payload = await fetch(
-                port, "POST", "/v1/cells",
-                {"trace": "ld", "policy": "demand", "disks": 1,
-                 "kind": "always-fail"},
-            )
-            assert status == 500
-            assert payload["record"]["failure"] == "exception"
-            assert "injected deterministic failure" in (
-                payload["record"]["error"]["message"]
-            )
+            for kind, failure, message in (
+                ("always-fail", "exception", "injected deterministic failure"),
+                # The worker's exit status, not a None read before reaping.
+                ("always-crash", "crash", "exited with code 3"),
+            ):
+                status, _, payload = await fetch(
+                    port, "POST", "/v1/cells",
+                    {"trace": "ld", "policy": "demand", "disks": 1,
+                     "kind": kind},
+                )
+                assert status == 500, kind
+                assert payload["record"]["failure"] == failure
+                assert message in payload["record"]["error"]["message"]
 
-        http_test(scenario, store_dir=str(tmp_path / "store"), jobs=1)
+        http_test(scenario, store_dir=str(tmp_path / "store"), jobs=1,
+                  max_retries=1, retry_backoff_s=0.05)
 
     def test_queue_full_is_429_with_retry_after(self, test_kinds, tmp_path):
         async def scenario(service, port):
