@@ -63,23 +63,7 @@ class Aggressive(PrefetchPolicy):
 
     def _fill_free_disks(self, cursor: int) -> None:
         fill_free_disks(self, self._scanner, self.batch_size, cursor,
-                        self._victim_for)
-
-    def _victim_for(self, cursor: int, fetch_position: int) -> Victim:
-        """Free buffer (None), a do-no-harm-compatible victim, or False."""
-        sim = self.sim
-        if sim.cache.free_buffers > 0:
-            return None
-        victim = sim.eviction_heap.best_victim(
-            cursor, exclude=sim.protected_blocks()
-        )
-        if victim is None:
-            return False
-        # next_use is index.never (> any real fetch position) for a block
-        # that is never referenced again, so one exact comparison suffices.
-        if sim.index.next_use(victim, cursor) <= fetch_position:
-            return False
-        return victim
+                        self.harmless_victim)
 
 
 def fill_free_disks(

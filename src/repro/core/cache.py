@@ -17,7 +17,13 @@ class CacheFullError(RuntimeError):
 
 
 class BufferCache:
-    """Fixed-capacity block cache with explicit eviction."""
+    """Fixed-capacity block cache with explicit eviction.
+
+    ``present`` is the one record of presence the missing-block scans
+    read.  A dense mask mirroring it for vector scans was dropped with no
+    result changed and no measured cell slower
+    (``benchmarks/BENCH_scalar_scan.json``).
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -34,19 +40,6 @@ class BufferCache:
         #: Set by :meth:`shrink`: the cache may then hold more blocks than
         #: its capacity until evictions drain it.
         self.allow_overflow = False
-        #: Optional dense 0/1 mirror of ``present`` for vectorized scans
-        #: (see :class:`repro.core.nextref.ScanSupport`).  Blocks outside
-        #: the mask's range (speculative prefetch targets past the trace
-        #: footprint) are simply not mirrored — the vectorized probes only
-        #: ever ask about traced positions.
-        self.present_mask: Optional[bytearray] = None
-
-    def attach_present_mask(self, mask: bytearray) -> None:
-        """Keep ``mask[block]`` in lockstep with ``block in present``."""
-        self.present_mask = mask
-        for block in sorted(self.present):
-            if 0 <= block < len(mask):
-                mask[block] = 1
 
     def __contains__(self, block: int) -> bool:
         return block in self.resident
@@ -106,12 +99,6 @@ class BufferCache:
             self.evictions += 1
         self.in_flight.add(block)
         self.present.add(block)
-        mask = self.present_mask
-        if mask is not None:
-            if victim is not None and 0 <= victim < len(mask):
-                mask[victim] = 0
-            if 0 <= block < len(mask):
-                mask[block] = 1
 
     def abort_fetch(self, block: int) -> None:
         """The fetch of ``block`` will never complete (abandoned prefetch
@@ -120,9 +107,6 @@ class BufferCache:
             raise ValueError(f"block {block} has no fetch in flight")
         self.in_flight.remove(block)
         self.present.remove(block)
-        mask = self.present_mask
-        if mask is not None and 0 <= block < len(mask):
-            mask[block] = 0
 
     def complete_fetch(self, block: int) -> None:
         """The fetch of ``block`` finished; it is now referenceable."""

@@ -38,7 +38,7 @@ from repro.core import events as ev
 from repro.core.cache import BufferCache
 from repro.core.events import Event, Fanout, Sink
 from repro.core.hints import resolve_hint_view
-from repro.core.nextref import EvictionHeap, NextRefIndex, ScanSupport
+from repro.core.nextref import EvictionHeap, NextRefIndex
 from repro.core.policy import PrefetchPolicy
 from repro.core.results import SimulationResult
 from repro.core.timeline import Timeline
@@ -354,12 +354,6 @@ class Simulator:
         self.fixed_disk_of: Optional[Mapping[int, int]] = (
             None if self.config.mirrored else self._disk
         )
-        #: Vectorized scan support (None without numpy).  Purely an
-        #: accelerator: every consumer re-validates candidates against live
-        #: cache state, so results are bit-identical with or without it.
-        self.scan: Optional[ScanSupport] = ScanSupport.build(self.blocks)
-        if self.scan is not None:
-            self.cache.attach_present_mask(self.scan.mask)
 
         #: The other processes on the machine, set by ``_Machine.join``.
         self._peers: Tuple[Simulator, ...] = ()

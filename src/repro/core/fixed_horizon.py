@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import cast
 
-from repro.core.policy import MissingScanner, PrefetchPolicy, SimulatorLike, Victim
+from repro.core.policy import MissingScanner, PrefetchPolicy, SimulatorLike
 
 #: The paper's baseline prefetch horizon (15 ms / 243 µs).
 DEFAULT_HORIZON = 62
@@ -50,31 +50,12 @@ class FixedHorizon(PrefetchPolicy):
         self._scan(self.sim.cursor)
 
     def _scan(self, cursor: int) -> None:
-        sim = self.sim
-        end = cursor + self.horizon
-        boundary = cursor + self.horizon  # victims must be needed after this
+        end = cursor + self.horizon  # victims must be needed after this
         issued_floor = end
         for position, block in self._scanner.missing_in(cursor, end):
-            victim = self._victim_beyond_horizon(cursor, boundary)
+            victim = self.harmless_victim(cursor, end)
             if victim is False:
                 issued_floor = position
                 break
             self.issue(block, victim)
         self._scanner.floor = max(self._scanner.floor, min(issued_floor, end))
-
-    def _victim_beyond_horizon(self, cursor: int, boundary: int) -> Victim:
-        """Free buffer (None), a victim needed after the horizon, or False."""
-        sim = self.sim
-        if sim.cache.free_buffers > 0:
-            return None
-        victim = sim.eviction_heap.best_victim(
-            cursor, exclude=sim.protected_blocks()
-        )
-        if victim is None:
-            return False
-        # The boundary can lie past the end of the stream, so "never
-        # referenced again" (== index.never) must stay evictable there.
-        next_use = sim.index.next_use(victim, cursor)
-        if next_use != sim.index.never and next_use <= boundary:
-            return False
-        return victim

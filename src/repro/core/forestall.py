@@ -46,19 +46,17 @@ from typing import (
 
 from repro.core.batching import batch_size_for
 from repro.core.fixed_horizon import DEFAULT_HORIZON
-from repro.core.nextref import _np
-from repro.core.policy import (
-    _SCAN_PREFIX,
-    PrefetchPolicy,
-    SimulatorLike,
-    Victim,
-    refuse_out_of_range,
-)
+from repro.core.nextref import ScanSupport, _np
+from repro.core.policy import PrefetchPolicy, SimulatorLike, refuse_out_of_range
 
 #: A disk's survey walks this many entries in Python before a numpy pass
 #: takes the rest: below it, numpy's fixed cost per call exceeds the
 #: walk's ~0.1 us per entry.
 _WALK_MAX = 48
+
+#: An extend longer than this probes its span with one numpy pass
+#: (``ScanSupport``) instead of testing every position in Python.
+_PROBE_SPAN = 256
 
 #: Entries behind the cursor are dropped once more than this many pile up.
 _PRUNE_BEHIND = 256
@@ -95,6 +93,10 @@ class _MissingTracker:
         self.sim = sim
         self.window = window
         self.scanned_to = 0
+        #: Vector probe for long extends (None without numpy).  Purely an
+        #: accelerator: ``extend`` re-tests every candidate against the
+        #: live cache, so results are bit-identical with or without it.
+        self._probe = ScanSupport.build(sim.blocks)
         self._position_of: Dict[int, int] = {}  # block -> its listed position
         self._homes: Optional[Mapping[int, int]] = sim.fixed_disk_of
         count = 1 if self._homes is None else sim.num_disks
@@ -117,13 +119,13 @@ class _MissingTracker:
         position_of = self._position_of
         homes = self._homes
         lists = self.lists
-        scan = self.sim.scan
+        probe = self._probe
         candidates: Any = range(start, end)
-        if scan is not None and end - start > _SCAN_PREFIX:
+        if probe is not None and end - start > _PROBE_SPAN:
             # One vectorized probe for a long span (the first extend covers
             # the whole window); nothing mutates the cache during extend,
             # so the probe and the per-position test agree.
-            candidates = scan.missing_candidates(start, end)
+            candidates = probe.missing_candidates(start, end, present)
         # New positions lie past every listed one (the scan never
         # revisits), so appending keeps each list sorted.
         for position in candidates:
@@ -511,7 +513,7 @@ class Forestall(PrefetchPolicy):
             budget = budgets.get(disk)
             if budget is None:
                 if disk in backstop_disks and position <= horizon_end:
-                    victim = self._victim_for(cursor, position)
+                    victim = self.harmless_victim(cursor, position)
                     if victim is False:
                         break
                     self.issue(block, victim)
@@ -520,23 +522,8 @@ class Forestall(PrefetchPolicy):
                 if all(b == 0 for b in budgets.values()) and not backstop_disks:
                     break
                 continue
-            victim = self._victim_for(cursor, position)
+            victim = self.harmless_victim(cursor, position)
             if victim is False:
                 break
             self.issue(block, victim)
             budgets[disk] = budget - 1
-
-    def _victim_for(self, cursor: int, fetch_position: int) -> Victim:
-        sim = self.sim
-        if sim.cache.free_buffers > 0:
-            return None
-        victim = sim.eviction_heap.best_victim(
-            cursor, exclude=sim.protected_blocks()
-        )
-        if victim is None:
-            return False
-        # next_use == index.never exceeds any real fetch position, so
-        # never-again blocks stay evictable with one exact comparison.
-        if sim.index.next_use(victim, cursor) <= fetch_position:
-            return False
-        return victim

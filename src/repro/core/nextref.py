@@ -32,9 +32,9 @@ import os
 from array import array
 from typing import (
     Any,
+    Collection,
     Container,
     Dict,
-    Iterator,
     KeysView,
     List,
     Optional,
@@ -273,79 +273,44 @@ class EvictionHeap:
 
 
 class ScanSupport:
-    """Vectorized missing-block candidate probes over the reference stream.
+    """A vectorized missing-block probe over the reference stream: the
+    stream as an int64 array, built when numpy is available.
 
-    Built by the engine when numpy is available: the stream as an int64
-    array plus a dense 0/1 ``bytearray`` present mask kept in lockstep with
-    the cache's ``present`` set (see ``BufferCache.attach_present_mask``).
-    One :meth:`missing_candidates` call resolves a whole lookahead window;
-    callers re-validate each candidate against live cache state, so the
-    lazy-evaluation semantics of the scalar scan loops are preserved
-    exactly (see ``MissingScanner.missing_in``).
+    Its one user is forestall's ``_MissingTracker``, which probes a whole
+    lookahead window at once when it first fills it.  The missing-block
+    walk of every other policy is scalar (``MissingScanner.missing_in``):
+    vector probes there, over a present mask the cache kept in step,
+    changed no digest and saved no time
+    (``benchmarks/BENCH_scalar_scan.json``).
     """
 
-    #: Refuse to build a mask beyond this many entries: a sparse block-id
-    #: space would waste memory on it.
-    MAX_MASK_ENTRIES = 1 << 26
-
-    def __init__(self, blocks_arr: Any, mask: bytearray, mask_np: Any) -> None:
+    def __init__(self, blocks_arr: Any) -> None:
         self.blocks_arr = blocks_arr
-        self.mask = mask
-        self.mask_np = mask_np
 
     @classmethod
     def build(cls, blocks: Sequence[int]) -> Optional["ScanSupport"]:
         """A ScanSupport for ``blocks``, or None when ineligible (no numpy,
-        empty stream, negative ids, or an unreasonably sparse id space)."""
+        an empty stream, or ids outside int64)."""
         if _np is None or not blocks:
             return None
         try:
-            blocks_arr = _np.asarray(blocks, dtype=_np.int64)
+            return cls(_np.asarray(blocks, dtype=_np.int64))
         except (OverflowError, ValueError):
             return None
-        if int(blocks_arr.min()) < 0:
-            return None
-        size = int(blocks_arr.max()) + 1
-        if size > cls.MAX_MASK_ENTRIES:
-            return None
-        mask = bytearray(size)
-        mask_np = _np.frombuffer(mask, dtype=_np.uint8)
-        return cls(blocks_arr, mask, mask_np)
 
-    def missing_candidates(self, start: int, end: int) -> List[int]:
-        """Positions in ``[start, end)`` whose block's mask bit is clear.
+    def missing_candidates(
+        self, start: int, end: int, present: Collection[int]
+    ) -> List[int]:
+        """Positions in ``[start, end)`` whose block is not in ``present``,
+        in order.
 
-        A probe, not an answer: the mask reflects the cache at call time,
-        so callers that issue fetches or evict between consuming candidates
-        must re-validate each one (and re-probe after an eviction).
+        A snapshot of ``present`` at call time: a caller that changes the
+        cache between consuming positions must re-test each one.
         """
         if start >= end:
             return []
+        held = _np.fromiter(present, dtype=_np.int64, count=len(present))
         window = self.blocks_arr[start:end]
-        hits = self.mask_np[window]
-        missing = _np.flatnonzero(hits == 0)
+        missing = _np.flatnonzero(_np.isin(window, held, invert=True))
         result: List[int] = (missing + start).tolist()
         return result
-
-    #: Candidates are materialized to Python ints in slices of this many,
-    #: so a consumer that stops after a small per-disk batch budget never
-    #: pays for the whole probe window.
-    ITER_SLICE = 64
-
-    def missing_candidates_iter(self, start: int, end: int) -> Iterator[int]:
-        """Lazy :meth:`missing_candidates`: same positions, same order,
-        converted to Python ints a slice at a time.
-
-        On mostly-missing windows (cold sweeps, tiny caches) nearly every
-        position is a hit; eagerly listing thousands of candidates a
-        consumer will abandon after a dozen dominated the aggressive
-        policy's profile on the synth-xl tier.
-        """
-        if start >= end:
-            return
-        window = self.blocks_arr[start:end]
-        hits = self.mask_np[window]
-        missing = _np.flatnonzero(hits == 0)
-        step = self.ITER_SLICE
-        for i in range(0, len(missing), step):
-            yield from (missing[i : i + step] + start).tolist()

@@ -36,7 +36,7 @@ from typing import (
 
 if TYPE_CHECKING:
     from repro.core.cache import BufferCache
-    from repro.core.nextref import EvictionHeap, NextRefIndex, ScanSupport
+    from repro.core.nextref import EvictionHeap, NextRefIndex
     from repro.disk.array import DiskArray
 
 #: What a victim choice can be: ``None`` (use a free buffer), a block to
@@ -52,16 +52,6 @@ def refuse_out_of_range(
     for name, value, in_range, need in checks:
         if not in_range:
             raise ValueError(f"{policy}: {name} must be {need}, got {value!r}")
-
-
-#: Batched missing-scan tuning — see ``MissingScanner.missing_in``.  The
-#: first ``_SCAN_PREFIX`` positions are probed scalar (consumers with small
-#: batch budgets usually stop there); vectorized probes then start at
-#: ``_SCAN_CHUNK_MIN`` references and double per exhausted chunk up to
-#: ``_SCAN_CHUNK``.
-_SCAN_CHUNK = 4096
-_SCAN_CHUNK_MIN = 512
-_SCAN_PREFIX = 256
 
 
 class SimulatorLike(Protocol):
@@ -105,9 +95,6 @@ class SimulatorLike(Protocol):
 
     @property
     def array(self) -> "DiskArray": ...
-
-    @property
-    def scan(self) -> Optional["ScanSupport"]: ...
 
     @property
     def fixed_disk_of(self) -> Optional[Mapping[int, int]]: ...
@@ -202,6 +189,30 @@ class PrefetchPolicy:
             return False
         return victim
 
+    def harmless_victim(self, cursor: int, bound: int) -> Victim:
+        """Optimal replacement under do no harm: ``None`` for a free
+        buffer, else the resident block with the furthest next use if
+        that use lies after ``bound``, else ``False`` (wait).
+
+        Aggressive and forestall pass the fetched block's position, fixed
+        horizon the end of its horizon.  A block never referenced again
+        (``index.never``) stays evictable even when ``bound`` lies past the
+        end of the stream.
+        """
+        sim = self.sim
+        if sim.cache.free_buffers > 0:
+            return None
+        victim = sim.eviction_heap.best_victim(
+            cursor, exclude=sim.protected_blocks()
+        )
+        if victim is None:
+            return False
+        index = sim.index
+        next_use = index.next_use(victim, cursor)
+        if next_use <= bound and next_use != index.never:
+            return False
+        return victim
+
 
 class MissingScanner:
     """Incremental scan for missing blocks in the reference stream.
@@ -221,6 +232,11 @@ class MissingScanner:
     bookkeeping cost more than the short scans they avoided on every
     measured workload, precisely because the floor already bounds the
     redundant work.  See docs/PERFORMANCE.md.
+
+    The walk is one scalar loop, one set test per position.  Vectorized
+    probes over a present mask that the cache kept in step used to take
+    over past the first 256 positions; without them no digest changed and
+    no measured cell ran slower (``benchmarks/BENCH_scalar_scan.json``).
     """
 
     def __init__(self, sim: SimulatorLike) -> None:
@@ -236,61 +252,21 @@ class MissingScanner:
     def missing_in(self, cursor: int, end: int) -> Iterator[Tuple[int, int]]:
         """Yield (position, block) for missing references in [cursor, end).
 
-        Laziness matters: a block issued by the caller mid-iteration will be
-        skipped at its later occurrences.  The caller is responsible for
-        advancing :attr:`floor` afterwards (to the last position known
-        missing-free).
+        Laziness matters: each position is tested against the live cache
+        when the walk reaches it, so a block the caller fetches
+        mid-iteration is skipped at its later occurrences, and a block it
+        evicts is missing again from its next one.  The caller is
+        responsible for advancing :attr:`floor` afterwards (to the last
+        position known missing-free).
         """
         sim = self.sim
         blocks = sim.blocks
         present = sim.cache.present
         lost = sim.lost_blocks
-        end = min(end, len(blocks))
-        start = max(cursor, self.floor)
-        scan = sim.scan
-        if scan is None:
-            for position in range(start, end):
-                block = blocks[position]
-                if block not in present and block not in lost:
-                    # Lost blocks (every copy on a dead spindle) are
-                    # skipped: no fetch can ever serve them, so they are
-                    # not "missing" in any actionable sense.
-                    yield position, block
-            return
-        # Hybrid walk.  Missing-block scans are bimodal: either the consumer
-        # (a per-disk batch budget) is satisfied within a few dozen
-        # references of the floor — where a numpy probe costs more than the
-        # handful of set lookups it replaces — or the scan must skate over
-        # thousands of consecutive cached references, where scalar lookups
-        # dominated whole-run profiles.  Serve the first ``_SCAN_PREFIX``
-        # positions exactly like the scalar loop, then switch to vectorized
-        # probes whose stride doubles per exhausted chunk.
-        for position in range(start, min(end, start + _SCAN_PREFIX)):
+        for position in range(max(cursor, self.floor), min(end, len(blocks))):
             block = blocks[position]
             if block not in present and block not in lost:
+                # Lost blocks (every copy on a dead spindle) are skipped:
+                # no fetch can ever serve them, so they are not "missing"
+                # in any actionable sense.
                 yield position, block
-        # Vectorized tail: probe a chunk at once, re-validate each candidate
-        # at yield time.  Fetches issued by the caller mid-iteration are
-        # caught by the re-validation; an eviction can make a
-        # *probed-present* block missing again, so the eviction counter is
-        # checked after every yield and the remainder of the chunk is
-        # re-probed when it moved.
-        cache = sim.cache
-        position = start + _SCAN_PREFIX
-        chunk = _SCAN_CHUNK_MIN
-        while position < end:
-            stop = min(end, position + chunk)
-            chunk = min(chunk * 2, _SCAN_CHUNK)
-            stamp = cache.evictions
-            resumed = False
-            for candidate in scan.missing_candidates_iter(position, stop):
-                block = blocks[candidate]
-                if block in present or block in lost:
-                    continue
-                yield candidate, block
-                if cache.evictions != stamp:
-                    position = candidate + 1
-                    resumed = True
-                    break
-            if not resumed:
-                position = stop

@@ -3,18 +3,15 @@ the worst stall episodes with the event window around each.
 
 This is the renderer behind ``repro-sim report``; the tables come from
 :mod:`repro.analysis.tables` so the CLI's other subcommands and the report
-share one formatting vocabulary.
+share one formatting vocabulary.  That module is imported where the report
+renders: importing :mod:`repro.obs` (as the service does) must not load
+the experiments, figures and tables of :mod:`repro.analysis`.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.tables import (
-    format_stall_table,
-    format_table,
-    format_utilization_table,
-)
 from repro.core import events as ev
 from repro.obs.metrics import Histogram
 from repro.obs.observer import Observer
@@ -51,6 +48,12 @@ def render_report(
     window_limit: int = 10,
 ) -> str:
     """Render the full text report for one observed run."""
+    from repro.analysis.tables import (
+        format_stall_table,
+        format_table,
+        format_utilization_table,
+    )
+
     result = observer.result
     if result is None:
         raise ValueError("render_report needs a finished run (result is None)")

@@ -2,16 +2,21 @@
 
 The rewrite's safety argument has two legs: the 14 golden digests (end to
 end) and these direct structural checks — the successor-array index, both
-of its construction paths, and the vectorized missing-block probe must
-agree with the retained pure-Python reference implementations on hundreds of
-random traces, including the backwards-cursor queries the old index
-answered wrongly.
+of its construction paths, and forestall's vectorized missing-block probe
+must agree with the retained pure-Python reference implementations on
+hundreds of random traces, including the backwards-cursor queries the old
+index answered wrongly; and the scalar missing-block walk must yield
+exactly the naive missing positions while its caller changes the cache.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.cache import BufferCache
 from repro.core.nextref import (
     HAVE_NUMPY,
     EvictionHeap,
@@ -19,6 +24,7 @@ from repro.core.nextref import (
     ReferenceNextRefIndex,
     ScanSupport,
 )
+from repro.core.policy import MissingScanner
 
 #: (trace count, max length, max distinct blocks) per shape family.
 TRACE_SHAPES = [
@@ -104,8 +110,8 @@ class TestBatchedScanAgreesWithGenerator:
             scan = ScanSupport.build(blocks)
             assert scan is not None
             present = {b for b in set(blocks) if rng.random() < 0.5}
-            for block in sorted(present):
-                scan.mask[block] = 1
+            # The cache may hold blocks the stream never names.
+            present.add(max(blocks) + 7)
             for _ in range(4):
                 start = rng.randrange(len(blocks) + 1)
                 end = rng.randrange(len(blocks) + 2)
@@ -114,7 +120,83 @@ class TestBatchedScanAgreesWithGenerator:
                     for p in range(start, min(end, len(blocks)))
                     if blocks[p] not in present
                 ]
-                assert scan.missing_candidates(start, end) == expected, seed
+                got = scan.missing_candidates(start, end, present)
+                assert got == expected, seed
+
+
+class TestMissingScannerIsLazy:
+    """``MissingScanner.missing_in`` tests each position against the live
+    cache when its walk reaches it, so fetches, evictions and aborts the
+    caller makes between two yields decide what the walk yields next."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_yields_naive_missing_positions_while_cache_changes(self, data):
+        universe = data.draw(st.integers(2, 8), label="universe")
+        block_ids = st.integers(0, universe - 1)
+        blocks = data.draw(
+            st.lists(block_ids, min_size=1, max_size=60), label="blocks"
+        )
+        # Fewer buffers than blocks, all in use: every fetch evicts.
+        capacity = data.draw(st.integers(1, universe - 1), label="K")
+        cache = BufferCache(capacity)
+        held = data.draw(
+            st.sets(block_ids, min_size=capacity, max_size=capacity),
+            label="held",
+        )
+        for block in sorted(held):
+            cache.begin_fetch(block, None)
+            if data.draw(st.booleans(), label="landed"):
+                cache.complete_fetch(block)
+        lost = data.draw(st.frozensets(block_ids, max_size=2), label="lost")
+        scanner = MissingScanner(
+            SimpleNamespace(blocks=blocks, cache=cache, lost_blocks=lost)
+        )
+        scanner.floor = data.draw(st.integers(0, len(blocks)), label="floor")
+        cursor = data.draw(st.integers(0, len(blocks)), label="cursor")
+        end = data.draw(st.integers(cursor, len(blocks) + 3), label="end")
+
+        def naive_next(start):
+            """The first position at/past ``start`` missing right now."""
+            for position in range(start, min(end, len(blocks))):
+                block = blocks[position]
+                if block not in cache.present and block not in lost:
+                    return position
+            return None
+
+        expected = naive_next(max(cursor, scanner.floor))
+        for position, block in scanner.missing_in(cursor, end):
+            assert (position, block) == (expected, blocks[expected])
+            action = data.draw(
+                st.sampled_from(("fetch", "fetch", "none", "abort", "complete")),
+                label="action",
+            )
+            if action == "fetch":
+                # Fetch a missing block (often the one just yielded),
+                # evicting a resident one when no buffer is free.
+                target = data.draw(
+                    st.just(block) | st.sampled_from(range(universe)),
+                    label="target",
+                )
+                victim = None
+                if not cache.free_buffers and cache.resident:
+                    victim = data.draw(
+                        st.sampled_from(sorted(cache.resident)), label="victim"
+                    )
+                if target not in cache.present and (
+                    cache.free_buffers or victim is not None
+                ):
+                    cache.begin_fetch(target, victim)
+            elif action in ("abort", "complete") and cache.in_flight:
+                flying = data.draw(
+                    st.sampled_from(sorted(cache.in_flight)), label="flying"
+                )
+                if action == "abort":
+                    cache.abort_fetch(flying)
+                else:
+                    cache.complete_fetch(flying)
+            expected = naive_next(position + 1)
+        assert expected is None
 
 
 class TestIntegerHeapKeys:

@@ -349,6 +349,8 @@ class TestVectorPathsAgreeWholeRun:
                   deadline=None, suppress_health_check=[HealthCheck.too_slow])
         def check(case):
             vectorized = digest(*case)
+            # Without ScanSupport forestall's tracker fills its window in
+            # Python; the other policies walk the same scalar loop anyway.
             with mock.patch.object(
                 ScanSupport, "build", classmethod(lambda cls, blocks: None)
             ):

@@ -1,5 +1,9 @@
 """The public API surface: everything README promises is importable."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -47,6 +51,18 @@ class TestExports:
         assert repro.disk.ZonedGeometry
         assert repro.theory.optimal_elapsed
         assert repro.trace.trace_io.loads
+
+
+    def test_service_import_leaves_analysis_unloaded(self):
+        # The server imports repro.obs for its telemetry; the experiments
+        # and figures of repro.analysis load only where a report renders.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        probe = "import sys, repro.svc; print('repro.analysis' in sys.modules)"
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe], check=True, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src),
+        ).stdout.strip()
+        assert loaded == "False"
 
 
 class TestRunSimulationContract:

@@ -145,7 +145,8 @@ class TestWritesWithPrefetchers:
         # Forestall's survey finishes per-disk missing lists longer than its
         # walk crossover with numpy; on a write trace, whose in-place
         # allocations remove tracker entries, that must give the same run
-        # as the pure-Python walk and as the scan without ScanSupport.
+        # as the pure-Python walk and as the tracker's window fill without
+        # ScanSupport's probe.
         # Compute as long as a fetch leaves the lists slack, so they seldom
         # fire within the walk and the numpy pass runs.
         rng = random.Random(1)
