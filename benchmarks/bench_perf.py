@@ -56,7 +56,8 @@ DEFAULT_CELLS = [
     ("synth-xl", "forestall", 4, "cscan"),
 ]
 
-#: Reduced set for the CI perf-smoke job.
+#: Reduced set for the CI perf-smoke job.  A fifth field gives a cell its
+#: own trace scale instead of the run's.
 QUICK_CELLS = [
     ("ld", "demand", 1, "fcfs"),
     ("ld", "forestall", 4, "cscan"),
@@ -67,11 +68,16 @@ QUICK_CELLS = [
     # Its planner replays the reversed trace through the theory model
     # while the simulator is built: construct_s gates it.
     ("cscope2", "reverse-aggressive", 4, "cscan"),
+    # Full scale: forestall's per-disk missing lists hold hundreds of
+    # entries only here, and its survey's cost grows with them.
+    ("cscope2", "forestall", 4, "cscan", 1.0),
 ]
 
 
-def cell_id(trace, policy, disks, discipline) -> str:
-    return f"{trace}/{policy}/d{disks}/{discipline}"
+def cell_id(trace, policy, disks, discipline, scale=None) -> str:
+    """A cell's row id; a cell with its own scale names it."""
+    base = f"{trace}/{policy}/d{disks}/{discipline}"
+    return base if scale is None else f"{base}@scale={scale}"
 
 
 def parse_cell(spec: str):
@@ -93,9 +99,10 @@ def peak_rss_kb() -> int:
 
 
 def time_cell(trace, policy_name, disks, discipline, scale, repeat,
-              profile=False):
+              profile=False, own_scale=False):
     """Best-of-``repeat`` wall times for one cell (its ``run()`` and,
-    separately, its construction); returns the record dict."""
+    separately, its construction); returns the record dict.  With
+    ``own_scale`` the cell's id names ``scale``."""
     config = SimConfig(
         cache_blocks=cache_blocks_for(trace.name, scale),
         discipline=discipline,
@@ -123,7 +130,8 @@ def time_cell(trace, policy_name, disks, discipline, scale, repeat,
         if best_wall is None or wall < best_wall:
             best_wall, sim, result, profiler = wall, candidate, run_result, run_profiler
     record = {
-        "id": cell_id(trace.name, policy_name, disks, discipline),
+        "id": cell_id(trace.name, policy_name, disks, discipline,
+                      scale if own_scale else None),
         "trace": trace.name,
         "policy": policy_name,
         "disks": disks,
@@ -169,7 +177,8 @@ def check_baseline(records, baseline_path, max_regression):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="reduced cell set at --scale 0.1 (CI smoke)")
+                        help="reduced cell set at --scale 0.1, one cell at "
+                        "its own scale (CI smoke)")
     parser.add_argument("--scale", type=float, default=None,
                         help="trace scale (default: REPRO_SCALE or 0.25; "
                         "0.1 under --quick)")
@@ -204,13 +213,16 @@ def main(argv=None) -> int:
 
     traces = {}
     records = []
-    for trace_name, policy, disks, discipline in cells:
-        trace = traces.get(trace_name)
+    for trace_name, policy, disks, discipline, *own in cells:
+        cell_scale = own[0] if own else scale
+        trace = traces.get((trace_name, cell_scale))
         if trace is None:
-            trace = traces[trace_name] = build_workload(trace_name, scale=scale)
+            trace = traces[trace_name, cell_scale] = build_workload(
+                trace_name, scale=cell_scale
+            )
         record = time_cell(
-            trace, policy, disks, discipline, scale, args.repeat,
-            profile=args.profile,
+            trace, policy, disks, discipline, cell_scale, args.repeat,
+            profile=args.profile, own_scale=bool(own),
         )
         print(
             f"{record['id']:44s} {record['wall_s']*1000:9.1f} ms  "

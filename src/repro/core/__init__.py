@@ -21,7 +21,6 @@ from repro.core.multiprocess import (
 from repro.core.forestall import Forestall
 from repro.core.heuristics import LRUDemand, SequentialReadahead, StridePrefetcher
 from repro.core.nextref import (
-    HAVE_NUMPY,
     INFINITE,
     EvictionHeap,
     NextRefIndex,
@@ -74,7 +73,6 @@ __all__ = [
     "EvictionHeap",
     "FixedHorizon",
     "Forestall",
-    "HAVE_NUMPY",
     "HintQuality",
     "INFINITE",
     "LRUDemand",

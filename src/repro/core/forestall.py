@@ -30,9 +30,7 @@ import bisect
 import math
 from array import array
 from collections import deque
-from itertools import islice
 from typing import (
-    Any,
     Collection,
     Deque,
     Dict,
@@ -46,29 +44,28 @@ from typing import (
 
 from repro.core.batching import batch_size_for
 from repro.core.fixed_horizon import DEFAULT_HORIZON
-from repro.core.nextref import ScanSupport, _np
+from repro.core.nextref import ScanSupport
 from repro.core.policy import PrefetchPolicy, SimulatorLike, refuse_out_of_range
 
-#: A disk's survey walks this many entries in Python before a numpy pass
-#: takes the rest: below it, numpy's fixed cost per call exceeds the
-#: walk's ~0.1 us per entry.
-_WALK_MAX = 48
+#: A check that fires nothing schedules the next one at most this many
+#: references ahead, so a least slack at or above it changes nothing.
+_RECHECK_CAP = 32.0
 
-#: An extend longer than this probes its span with one numpy pass
-#: (``ScanSupport``) instead of testing every position in Python.
-_PROBE_SPAN = 256
+#: A survey's jump over ranks is shortened by this fraction of the
+#: distance to the list's last entry, far more than float64 rounding can
+#: move a slack (see ``Forestall._survey``).
+_JUMP_MARGIN = 2.0**-40
 
 #: Entries behind the cursor are dropped once more than this many pile up.
 _PRUNE_BEHIND = 256
-
-_INF = float("inf")
 
 #: Fixed F' values swept by Appendix H.
 APPENDIX_H_FETCH_TIMES = (1, 2, 4, 8, 15, 30, 60)
 
 #: A survey's outputs: the disks whose trigger fired, the disks with a
 #: missing block inside the backstop horizon, the least slack before any
-#: trigger, and the distance to the nearest missing block.
+#: trigger if it is below ``_RECHECK_CAP``, and the distance to the
+#: nearest missing block.
 Survey = Tuple[Set[int], Set[int], Optional[float], Optional[int]]
 
 
@@ -93,15 +90,11 @@ class _MissingTracker:
         self.sim = sim
         self.window = window
         self.scanned_to = 0
-        #: Vector probe for long extends (None without numpy).  Purely an
-        #: accelerator: ``extend`` re-tests every candidate against the
-        #: live cache, so results are bit-identical with or without it.
-        self._probe = ScanSupport.build(sim.blocks)
+        self._probe = ScanSupport(sim.blocks)
         self._position_of: Dict[int, int] = {}  # block -> its listed position
         self._homes: Optional[Mapping[int, int]] = sim.fixed_disk_of
         count = 1 if self._homes is None else sim.num_disks
-        #: Sorted missing positions: one list per disk, or one in all.
-        #: int64 arrays, so the survey's numpy pass reads them in place.
+        #: Sorted missing positions: one int64 array per disk, or one in all.
         self.lists: List["array[int]"] = [array("q") for _ in range(count)]
 
     def _list_of(self, block: int) -> "array[int]":
@@ -114,25 +107,21 @@ class _MissingTracker:
         start = max(self.scanned_to, cursor)
         if start >= end:
             return
-        present = self.sim.cache.present
         lost = self.sim.lost_blocks
         position_of = self._position_of
         homes = self._homes
         lists = self.lists
-        probe = self._probe
-        candidates: Any = range(start, end)
-        if probe is not None and end - start > _PROBE_SPAN:
-            # One vectorized probe for a long span (the first extend covers
-            # the whole window); nothing mutates the cache during extend,
-            # so the probe and the per-position test agree.
-            candidates = probe.missing_candidates(start, end, present)
-        # New positions lie past every listed one (the scan never
-        # revisits), so appending keeps each list sorted.
-        for position in candidates:
+        # Nothing changes the cache during extend, so the probe's snapshot
+        # of ``present`` holds for the whole loop.  New positions lie past
+        # every listed one (the scan never revisits), so appending keeps
+        # each list sorted.
+        missing = self._probe.missing_candidates(
+            start, end, self.sim.cache.present
+        )
+        for position in missing:
             block = blocks[position]
             if (
                 block not in position_of
-                and block not in present
                 and block not in lost  # unreachable: no fetch can help
             ):
                 position_of[block] = position
@@ -286,12 +275,6 @@ class Forestall(PrefetchPolicy):
         self._compute_history: Deque[float] = deque()
         self._next_check_cursor = 0
         self._pending_triggers: Set[int] = set()
-        #: Per disk: the rank at which its last survey fired (0: none).
-        #: Steers how far the survey walks before numpy takes over, never
-        #: what it finds.
-        self._fired_at: List[int] = []
-        #: Survey scratch for the numpy pass: ranks 1..n, grown on demand.
-        self._ranks: Any = None
 
     def bind(self, sim: SimulatorLike) -> None:
         super().bind(sim)
@@ -311,13 +294,13 @@ class Forestall(PrefetchPolicy):
             mean_compute = max(1e-3, sum(head) / len(head))
         self._compute_history = deque([mean_compute], maxlen=self.history)
         self._next_check_cursor = 0
-        self._fired_at = [0] * sim.num_disks
 
     # -- observation hooks ----------------------------------------------------------
 
     def on_fetch_complete(self, disk: int, service_ms: float) -> None:
         # Estimates drift slowly (100-sample window); the bounded re-check
-        # interval (≤ 32 references) picks the drift up without a reset.
+        # interval (≤ _RECHECK_CAP references) picks the drift up without
+        # a reset.
         self._access_history[disk].append(service_ms)
         self._mean_access[disk] = None  # recompute at the next survey
 
@@ -400,7 +383,7 @@ class Forestall(PrefetchPolicy):
             return
         # Nothing fired (or fired only on busy disks): the earliest a new
         # trigger can fire is when the cursor eats through the least slack.
-        candidates = [32.0]
+        candidates = [_RECHECK_CAP]
         if min_slack is not None:
             candidates.append(min_slack)
         if first_distance is not None and first_distance > self.horizon:
@@ -420,73 +403,71 @@ class Forestall(PrefetchPolicy):
         trigger.  The backstop asks for ``d_i <= H`` at or before the
         trigger; the first entry is the nearest, so that is ``d_1 <= H``.
 
-        Past ``_WALK_MAX`` entries a numpy pass finishes the list with the
-        same int64 -> float64 arithmetic (exact below 2**53).  The Python
-        walk goes that far only when the disk last fired within it, and
-        otherwise checks the first entry alone: the path depends on the
-        list's length and the disk's last survey, never on the answer.
+        The walk jumps over ranks whose slack can neither trigger nor
+        matter.  Positions are distinct integers, so a slack falls by at
+        most ``F' - 1`` from one rank to the next.  ``least``, the least
+        slack this survey has seen, starts at ``_RECHECK_CAP``: ``_check``
+        never looks further ahead, so a least slack at or above it is
+        reported as None.  After rank r has slack s >= 0, the next
+        ``(s - least) / (F' - 1)`` ranks have slack >= least >= 0, and the
+        walk skips them; with ``F' <= 1`` no later rank falls below s, and
+        the disk is done.
+
+        Rounding cannot make a skipped rank's computed slack fall below
+        ``least``.  Each float64 operation is correctly rounded, so its
+        result is within 2**-53 of its exact value, relative.  With D the
+        distance to the list's last entry, every value involved (s,
+        r * F', (r + k) * F', s - least, the quotient times F' - 1) is at
+        most 3 * D, so the errors sum to less than 2**-49 * D.  Each jump
+        first takes ``_JUMP_MARGIN * D`` = 2**-40 * D off s - least, and
+        below ``F' = 1`` a disk is done only once s - least + 1 - F' is at
+        least that margin.  At ``F' = 1`` every value is an integer below
+        2**53, hence exact.
+        Over the 30 full-scale forestall cells a disk's survey evaluates
+        1-43 ranks on average where a rank-by-rank walk visits 8-618
+        (``benchmarks/BENCH_pure_survey.json``).
         """
         lists, starts = self._tracker.by_disk(cursor)
-        fired_at = self._fired_at
         horizon = self.horizon
         triggered: Set[int] = set()
         backstopped: Set[int] = set()
-        least_slack = _INF
+        least = _RECHECK_CAP
         first_distance: Optional[int] = None
         for disk, est in enumerate(estimates):
             entries = lists[disk]
-            start = starts[disk]
-            count = len(entries) - start
-            if not count:
+            index = starts[disk]
+            end = len(entries)
+            if index == end:
                 continue
-            distance = entries[start] - cursor
+            distance = entries[index] - cursor
             if first_distance is None or distance < first_distance:
                 first_distance = distance
             if distance <= horizon:
                 backstopped.add(disk)
-            if _np is None or count <= _WALK_MAX:
-                walk = count
-            else:
-                walk = _WALK_MAX if 0 < fired_at[disk] <= _WALK_MAX else 1
-            low = _INF  # the least slack before the trigger
-            walked = islice(entries, start, start + walk)
-            for rank, position in enumerate(walked, 1):
-                slack = (position - cursor) - rank * est
+            drop = est - 1.0  # the most a slack falls from rank to rank
+            margin = (entries[-1] - cursor) * _JUMP_MARGIN
+            rank = 1
+            while True:
+                slack = distance - rank * est
                 if slack < 0.0:
+                    triggered.add(disk)
                     break
-                if slack < low:
-                    low = slack
-            else:
-                rank = 0  # no trigger yet
-                if walk < count:
-                    # No view of ``entries`` outlives this expression: a
-                    # live one would stop the tracker resizing the array.
-                    tail = (
-                        _np.frombuffer(entries, _np.int64)[start + walk :]
-                        - cursor
-                    ) - self._rank_array(count)[walk:count] * est
-                    least = tail.min()
-                    if least < 0.0:
-                        cut = int((tail < 0.0).argmax())
-                        rank = walk + cut + 1
-                        least = tail[:cut].min() if cut else _INF
-                    if least < low:
-                        low = float(least)
-            fired_at[disk] = rank
-            if rank:
-                triggered.add(disk)
-            if low < least_slack:
-                least_slack = low
-        min_slack = None if least_slack == _INF else least_slack
+                if slack < least:
+                    least = slack
+                if drop > 0.0:
+                    gap = slack - least - margin
+                    step = int(gap / drop) + 1 if gap > 0.0 else 1
+                elif drop == 0.0 or slack - least - drop >= margin:
+                    break
+                else:
+                    step = 1
+                index += step
+                if index >= end:
+                    break
+                rank += step
+                distance = entries[index] - cursor
+        min_slack = None if least >= _RECHECK_CAP else least
         return triggered, backstopped, min_slack, first_distance
-
-    def _rank_array(self, count: int) -> Any:
-        """int64 ranks 1..n with n >= ``count``."""
-        ranks = self._ranks
-        if ranks is None or ranks.shape[0] < count:
-            size = max(count, 1024 if ranks is None else 2 * ranks.shape[0])
-            ranks = self._ranks = _np.arange(1, size + 1, dtype=_np.int64)
-        return ranks
 
     def _issue_batches(
         self,

@@ -19,19 +19,16 @@ of the stream, so every comparison in the hot path is an exact integer
 comparison — no float identity, no ``inf`` arithmetic (the hazard class
 simlint SL009 now rejects).
 
-Construction is vectorized with numpy when available and falls back to a
-stdlib ``array``-module build otherwise; both produce bit-identical
-structures (see tests/test_batched_core.py).
+Everything here is the standard library: the successor array is built
+by one ``array``-module walk over the stream.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-import os
 from array import array
 from typing import (
-    Any,
     Collection,
     Container,
     Dict,
@@ -41,21 +38,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-#: Optional numpy handle.  ``REPRO_PURE_PYTHON=1`` forces the stdlib path
-#: even when numpy is importable (used by tests and CI to prove the two
-#: paths are bit-identical).
-_np: Any
-try:
-    import numpy
-
-    _np = numpy
-except ImportError:
-    _np = None
-if os.environ.get("REPRO_PURE_PYTHON"):
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 #: Float sentinel retained for the analysis layer's reuse-distance series
 #: (cold misses have no previous reference).  The simulator core itself
@@ -74,60 +56,24 @@ class NextRefIndex:
         #: positions behave exactly like the old ``float('inf')`` sentinel
         #: while staying in exact integer arithmetic.
         self.never: int = n
-        if _np is not None:
-            try:
-                succ, first = self._build_numpy(blocks, n)
-            except (ValueError, TypeError, OverflowError):
-                # Non-integer block ids (the theory model uses labels) or
-                # ids beyond int64: the stdlib build handles any hashable.
-                succ, first = self._build_python(blocks, n)
-        else:
-            succ, first = self._build_python(blocks, n)
+        succ = array("q", [n]) * n if n else array("q")
+        #: block -> first position referencing it, in first-occurrence order.
+        first: Dict[int, int] = {}
+        last: Dict[int, int] = {}
+        for position, block in enumerate(blocks):
+            previous = last.get(block)
+            if previous is None:
+                first[block] = position
+            else:
+                succ[previous] = position
+            last[block] = position
         self._succ = succ
-        #: block -> first position referencing it, in first-occurrence order
-        #: (both construction paths produce the identical dict).
         self._first = first
         #: block -> [last queried cursor, cached first position >= it].
         self._state: Dict[int, List[int]] = {
-            block: [0, position] for block, position in first.items()
+            block: [0, position] for block, position in self._first.items()
         }
         self._positions: Optional[Dict[int, List[int]]] = None
-
-    @staticmethod
-    def _build_numpy(
-        blocks: Sequence[int], n: int
-    ) -> Tuple["array[int]", Dict[int, int]]:
-        first: Dict[int, int] = {}
-        succ = array("q")
-        if n == 0:
-            return succ, first
-        blk = _np.asarray(blocks, dtype=_np.int64)
-        order = _np.argsort(blk, kind="stable")
-        succ_np = _np.full(n, n, dtype=_np.int64)
-        same = blk[order[:-1]] == blk[order[1:]]
-        succ_np[order[:-1][same]] = order[1:][same]
-        succ.frombytes(succ_np.tobytes())
-        starts = _np.empty(n, dtype=bool)
-        starts[0] = True
-        starts[1:] = blk[order[1:]] != blk[order[:-1]]
-        for position in _np.sort(order[starts]).tolist():
-            first[blocks[position]] = position
-        return succ, first
-
-    @staticmethod
-    def _build_python(
-        blocks: Sequence[int], n: int
-    ) -> Tuple["array[int]", Dict[int, int]]:
-        succ = array("q", [n]) * n if n else array("q")
-        nxt: Dict[int, int] = {}
-        for position in range(n - 1, -1, -1):
-            block = blocks[position]
-            later = nxt.get(block)
-            if later is not None:
-                succ[position] = later
-            nxt[block] = position
-        first = dict(sorted(nxt.items(), key=lambda item: item[1]))
-        return succ, first
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -199,8 +145,8 @@ class ReferenceNextRefIndex:
     The original dict-of-lists structure, kept deliberately slow and
     obvious: every query bisects the block's sorted position list, so it
     is exact for *any* cursor order with no cached state to go stale.  The
-    randomized agreement tests drive :class:`NextRefIndex` (both the numpy
-    and the stdlib construction) against this class.
+    randomized agreement tests drive :class:`NextRefIndex` against this
+    class.
     """
 
     def __init__(self, blocks: Sequence[int]) -> None:
@@ -273,30 +219,17 @@ class EvictionHeap:
 
 
 class ScanSupport:
-    """A vectorized missing-block probe over the reference stream: the
-    stream as an int64 array, built when numpy is available.
+    """Forestall's window probe: which positions of a span of the reference
+    stream name a block that is not in a present set.
 
-    Its one user is forestall's ``_MissingTracker``, which probes a whole
-    lookahead window at once when it first fills it.  The missing-block
-    walk of every other policy is scalar (``MissingScanner.missing_in``):
-    vector probes there, over a present mask the cache kept in step,
-    changed no digest and saved no time
-    (``benchmarks/BENCH_scalar_scan.json``).
+    ``_MissingTracker.extend`` calls it for every span it scans.  The
+    missing-block walk of every other policy is ``MissingScanner.missing_in``,
+    which tests each position as its caller reaches it.  It stays a class
+    because perfbench's traced ledger wraps ``missing_candidates`` by name.
     """
 
-    def __init__(self, blocks_arr: Any) -> None:
-        self.blocks_arr = blocks_arr
-
-    @classmethod
-    def build(cls, blocks: Sequence[int]) -> Optional["ScanSupport"]:
-        """A ScanSupport for ``blocks``, or None when ineligible (no numpy,
-        an empty stream, or ids outside int64)."""
-        if _np is None or not blocks:
-            return None
-        try:
-            return cls(_np.asarray(blocks, dtype=_np.int64))
-        except (OverflowError, ValueError):
-            return None
+    def __init__(self, blocks: Sequence[int]) -> None:
+        self.blocks = blocks
 
     def missing_candidates(
         self, start: int, end: int, present: Collection[int]
@@ -307,10 +240,8 @@ class ScanSupport:
         A snapshot of ``present`` at call time: a caller that changes the
         cache between consuming positions must re-test each one.
         """
-        if start >= end:
-            return []
-        held = _np.fromiter(present, dtype=_np.int64, count=len(present))
-        window = self.blocks_arr[start:end]
-        missing = _np.flatnonzero(_np.isin(window, held, invert=True))
-        result: List[int] = (missing + start).tolist()
-        return result
+        blocks = self.blocks
+        return [
+            position for position in range(start, min(end, len(blocks)))
+            if blocks[position] not in present
+        ]

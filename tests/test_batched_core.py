@@ -1,24 +1,22 @@
 """Randomized agreement tests for the array-backed hot core.
 
 The rewrite's safety argument has two legs: the 14 golden digests (end to
-end) and these direct structural checks — the successor-array index, both
-of its construction paths, and forestall's vectorized missing-block probe
-must agree with the retained pure-Python reference implementations on
-hundreds of random traces, including the backwards-cursor queries the old
-index answered wrongly; and the scalar missing-block walk must yield
-exactly the naive missing positions while its caller changes the cache.
+end) and these direct structural checks — the successor-array index and
+forestall's window probe must agree with the retained reference
+implementations on hundreds of random traces, including the
+backwards-cursor queries the old index answered wrongly; and the scalar
+missing-block walk must yield exactly the naive missing positions while
+its caller changes the cache.
 """
 
 import random
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import BufferCache
 from repro.core.nextref import (
-    HAVE_NUMPY,
     EvictionHeap,
     NextRefIndex,
     ReferenceNextRefIndex,
@@ -85,30 +83,24 @@ class TestIndexAgreesWithReference:
             reference = ReferenceNextRefIndex(blocks)
             assert index.positions == reference.positions
 
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy to compare paths")
-class TestConstructionPathsAgree:
-    def test_numpy_and_python_builds_identical(self):
+    def test_successor_array_matches_brute_force(self):
         for seed, blocks in random_traces():
             n = len(blocks)
-            succ_np, first_np = NextRefIndex._build_numpy(blocks, n)
-            succ_py, first_py = NextRefIndex._build_python(blocks, n)
-            assert succ_np == succ_py, seed
-            assert first_np == first_py, seed
-            # dict equality ignores order; first-occurrence order is part
-            # of the contract.
-            assert list(first_np) == list(first_py), seed
+            expected = [
+                next((later for later in range(position + 1, n)
+                      if blocks[later] == block), n)
+                for position, block in enumerate(blocks)
+            ]
+            assert list(NextRefIndex(blocks).successors) == expected, seed
 
 
 class TestBatchedScanAgreesWithGenerator:
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="ScanSupport needs numpy")
     def test_missing_candidates_matches_naive_probe(self):
         for seed, blocks in random_traces():
             if not blocks:
                 continue
             rng = random.Random(30_000 + seed)
-            scan = ScanSupport.build(blocks)
-            assert scan is not None
+            scan = ScanSupport(blocks)
             present = {b for b in set(blocks) if rng.random() < 0.5}
             # The cache may hold blocks the stream never names.
             present.add(max(blocks) + 7)

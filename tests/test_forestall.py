@@ -4,17 +4,20 @@ import math
 import random
 from array import array
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Forestall, Simulator
-from repro.core import forestall as forestall_module
-from repro.core.forestall import APPENDIX_H_FETCH_TIMES, _MissingTracker
-from repro.core.nextref import HAVE_NUMPY, INFINITE
+from repro.core.forestall import (
+    _RECHECK_CAP,
+    APPENDIX_H_FETCH_TIMES,
+    _MissingTracker,
+)
+from repro.core.nextref import INFINITE
 from tests.conftest import make_trace, run, simple_config
+from tests.survey_oracle import rank_by_rank_survey
 
 
 def listed(tracker):
@@ -98,9 +101,10 @@ class TestMissingTracker:
         assert 0 not in tracker._position_of and 257 in tracker._position_of
 
 
-def global_walk(lists, cursor, estimates, horizon):
+def global_walk(lists, cursor, estimates, horizon, cap=None):
     """The survey by brute force: every entry at/past the cursor in global
-    position order, each disk's rank counted as the walk meets it."""
+    position order, each disk's rank counted as the walk meets it.  A
+    least slack at or above ``cap`` is reported as None."""
     entries = sorted(
         (position, disk)
         for disk, positions in enumerate(lists)
@@ -126,17 +130,23 @@ def global_walk(lists, cursor, estimates, horizon):
             slack = distance - count * estimates[disk]
             if min_slack is None or slack < min_slack:
                 min_slack = slack
+    if cap is not None and min_slack is not None and min_slack >= cap:
+        min_slack = None
     return triggered, backstopped, min_slack, first_distance
 
 
 @st.composite
 def survey_cases(draw):
     """Per-disk sorted missing positions (some behind the cursor), with
-    gaps near ``rank * F'`` so that triggers fire at chosen ranks and
-    whole-number products give slack of exactly 0.0."""
+    gaps near ``rank * F' + lift`` so that triggers fire at chosen ranks
+    and whole-number products give slack of exactly 0.0 (lift 0) or
+    exactly the recheck cap (lift 32)."""
     disks = draw(st.integers(1, 4))
-    cursor = draw(st.integers(0, 3000))
-    fixed = draw(st.sampled_from((None,) + APPENDIX_H_FETCH_TIMES))
+    cursor = draw(st.integers(0, 3000)
+                  | st.integers(2**31 - 10**5, 2**31 - 5 * 10**4))
+    fixed = draw(st.sampled_from(
+        (None, 0.25, 0.5, 0.999, 1.0000001) + APPENDIX_H_FETCH_TIMES
+    ))
     estimates = [
         float(fixed) if fixed is not None
         else draw(st.sampled_from([1.0, 1.5, 2.5, 7.0]) | st.floats(1.0, 60.0))
@@ -149,14 +159,15 @@ def survey_cases(draw):
         size = draw(st.sampled_from([0, 1, 2, 47, 48, 49, 700])
                     | st.integers(0, 700))
         fire = draw(st.sampled_from([None, 1, 2, 30, 48, 49, 50, 300]))
+        lift = draw(st.sampled_from([0, 0, 31, 32, 33]))
         behind = min(cursor, size, rng.choice([0, 0, 3, 300]))
         positions = [p for p in rng.sample(range(cursor), behind)
                      if p not in taken]
         distance = -1
         for rank in range(1, size - behind + 1):
-            target = math.ceil(rank * est)  # slack 0.0 at whole products
+            target = math.ceil(rank * est) + lift
             if fire is not None and rank >= fire:
-                target -= rng.choice((1, 1, 4))
+                target -= lift + rng.choice((1, 1, 4))
             else:
                 target += rng.choice((0, 0, 0, 1, 5))
             distance = max(distance + 1, target)
@@ -165,12 +176,10 @@ def survey_cases(draw):
         taken.update(positions)
         lists.append(sorted(positions))
     horizon = draw(st.sampled_from([0, 8, 62, 10**6]))
-    fired_at = [draw(st.sampled_from([0, 1, 20, 48, 49, 500]))
-                for _ in range(disks)]
-    return lists, cursor, estimates, horizon, fired_at
+    return lists, cursor, estimates, horizon
 
 
-def survey(lists, cursor, estimates, horizon, fired_at):
+def survey(lists, cursor, estimates, horizon, walk=Forestall._survey):
     """Forestall's survey over ``lists`` as its per-disk index."""
     top = max([cursor] + [p for positions in lists for p in positions])
     sim = SimpleNamespace(fixed_disk_of={}, num_disks=len(lists),
@@ -179,46 +188,37 @@ def survey(lists, cursor, estimates, horizon, fired_at):
     tracker.lists = [array("q", positions) for positions in lists]
     policy = Forestall(horizon=horizon)
     policy._tracker = tracker
-    policy._fired_at = list(fired_at)
-    return policy._survey(cursor, estimates)
+    return walk(policy, cursor, estimates)
 
 
 class TestSurveyOracle:
-    """The per-disk survey, stopped at each disk's first trigger, gives the
-    global-order walk's four outputs on every path."""
+    """Both surveys give the global-order walk's four outputs: the survey
+    in use ("as-built"), jumping over ranks, with its least slack capped
+    at the recheck interval; the rank-by-rank walk kept in
+    ``tests/survey_oracle.py`` ("walk") uncapped."""
 
     PATHS = {
-        # Lists past _WALK_MAX choose their path from the last outcome.
-        "as-built": {"_WALK_MAX": forestall_module._WALK_MAX},
-        "walk": {"_WALK_MAX": 10**9},
-        # Every list of two or more entries checks rank 1, then numpy.
-        "numpy": {"_WALK_MAX": 0},
-        "no-numpy": {"_np": None},
+        "as-built": (Forestall._survey, _RECHECK_CAP),
+        "walk": (rank_by_rank_survey, None),
     }
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_matches_global_walk(self, path):
-        if path != "no-numpy" and not HAVE_NUMPY:
-            pytest.skip("the numpy pass needs numpy")
-        numpy_passes = []
-        rank_array = Forestall._rank_array
-
-        def counting(policy, count):
-            numpy_passes.append(count)
-            return rank_array(policy, count)
+        walk, cap = self.PATHS[path]
 
         @given(case=survey_cases())
-        @settings(max_examples=150, deadline=None,
+        @settings(max_examples=400, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
         def check(case):
-            lists, cursor, estimates, horizon, fired_at = case
-            expected = global_walk(lists, cursor, estimates, horizon)
-            assert survey(*case) == expected
+            assert survey(*case, walk=walk) == global_walk(*case, cap=cap)
 
-        with mock.patch.multiple(forestall_module, **self.PATHS[path]), \
-                mock.patch.object(Forestall, "_rank_array", counting):
-            check()
-        assert bool(numpy_passes) == (path in ("as-built", "numpy"))
+        check()
+
+    def test_cap_is_the_recheck_interval(self):
+        # A least slack of exactly the cap is reported as None, one just
+        # below it as itself.
+        assert survey([[33]], 0, [1.0], 0) == (set(), set(), None, 33)
+        assert survey([[33]], 0, [1.5], 0) == (set(), set(), 31.5, 33)
 
 
 class TestEstimation:

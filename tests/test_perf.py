@@ -244,3 +244,20 @@ class TestPerfGate:
                    if cell[1] == "reverse-aggressive"]
         assert planned and all(rows[cell]["construct_s"] > 0
                                for cell in planned)
+
+    def test_quick_set_gates_a_full_scale_forestall_cell(self):
+        # Forestall's per-disk missing lists are long only at full scale,
+        # so the gate needs a cell there; its row id names the scale.
+        import json
+        from pathlib import Path
+
+        from benchmarks.bench_perf import QUICK_CELLS, cell_id
+
+        baseline = Path(__file__).resolve().parents[1] / "benchmarks" \
+            / "BENCH_perf_baseline.json"
+        with open(baseline) as handle:
+            rows = {row["id"]: row for row in json.load(handle)["cells"]}
+        own = [cell_id(*cell) for cell in QUICK_CELLS
+               if cell[1] == "forestall" and cell[4:] == (1.0,)]
+        assert own == ["cscope2/forestall/d4/cscan@scale=1.0"]
+        assert rows[own[0]]["wall_s"] > 0

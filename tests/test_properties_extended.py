@@ -1,6 +1,7 @@
 """Property-based tests for the disk layer, writes, hints, and the
 multi-process simulator."""
 
+import dataclasses
 import random
 from unittest import mock
 
@@ -9,9 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import POLICIES, SimConfig, Simulator, make_policy
-from repro.core import forestall as forestall_module
 from repro.core.forestall import Forestall
-from repro.core.nextref import HAVE_NUMPY, ScanSupport
 from repro.core.hints import HintQuality, degrade_hints, resolve_hint_view
 from repro.core.multiprocess import MultiProcessSimulator, StaticAllocator
 from repro.disk.drive import DiskDrive
@@ -21,6 +20,7 @@ from repro.faults import DiskFailure, FaultSchedule, UnrecoverableReadError
 from repro.runner import result_digest
 from repro.trace import Trace
 from tests.conftest import make_trace, simple_config
+from tests.survey_oracle import rank_by_rank_survey
 
 RELAXED = settings(
     max_examples=50,
@@ -293,22 +293,18 @@ class TestOneEngine:
         assert shared == alone
 
 
-FIVE_HINTED = (
-    "demand", "fixed-horizon", "aggressive", "reverse-aggressive", "forestall"
-)
-
-
 @st.composite
-def long_runs(draw, caches=(64, 128)):
+def long_runs(draw):
     """Traces long and cold enough that forestall's per-disk missing lists
-    pass its walk crossover once caches reach 128 blocks."""
-    cache = draw(st.integers(*caches))
+    run to hundreds of entries, far past the ranks its survey evaluates."""
+    cache = draw(st.integers(128, 256))
     length = draw(st.integers(300, 1000))
     universe = draw(st.integers(3 * cache, 8 * cache))
     write_share = draw(st.sampled_from([0.0, 0.2, 0.5]))
     # Short compute keeps the run I/O-bound, where prefetch batches are
     # deep; 5 ms of compute per 5 ms fetch leaves slack, where long
-    # missing lists seldom fire and forestall's survey runs numpy.
+    # missing lists seldom fire and forestall's survey jumps over most
+    # of their ranks.
     compute = draw(st.sampled_from([0.25, 0.5, 2.0, 5.0]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     blocks = [rng.randrange(universe) for _ in range(length)]
@@ -326,40 +322,35 @@ def long_runs(draw, caches=(64, 128)):
     return trace, draw(st.integers(1, 4)), config, batch
 
 
-class TestVectorPathsAgreeWholeRun:
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="the vectorized path needs numpy")
-    @pytest.mark.parametrize("policy", FIVE_HINTED)
-    def test_numpy_and_pure_python_runs_are_bit_identical(self, policy):
-        numpy_passes = []
-        rank_array = Forestall._rank_array
+class TestSurveyAgreesWholeRun:
+    """Whole forestall runs give the same digest with the rank-by-rank
+    survey kept in ``tests/survey_oracle.py`` patched in."""
 
-        def counting(policy, count):
-            numpy_passes.append(count)
-            return rank_array(policy, count)
+    @given(
+        case=long_runs(),
+        mirrored=st.booleans(),
+        quality=st.sampled_from([
+            None,
+            HintQuality(missing_fraction=0.2, seed=1),
+            HintQuality(missing_fraction=0.05, wrong_fraction=0.1, seed=2),
+        ]),
+    )
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_jumping_and_rank_by_rank_runs_agree(
+        self, case, mirrored, quality
+    ):
+        trace, disks, config, batch = case
+        if mirrored:
+            disks += disks % 2
+            config = dataclasses.replace(config, mirrored=True)
+        hints = None if quality is None else degrade_hints(trace, quality)
 
-        def digest(trace, disks, config, batch):
-            kwargs = {"batch_size": batch} if policy == "forestall" else {}
-            sim = Simulator(trace, make_policy(policy, **kwargs), disks, config)
+        def digest():
+            sim = Simulator(trace, Forestall(batch_size=batch), disks,
+                            config, hints=hints)
             return result_digest(sim.run())
 
-        caches = (128, 256) if policy == "forestall" else (64, 128)
-
-        @given(case=long_runs(caches))
-        @settings(max_examples=60 if policy == "forestall" else 25,
-                  deadline=None, suppress_health_check=[HealthCheck.too_slow])
-        def check(case):
-            vectorized = digest(*case)
-            # Without ScanSupport forestall's tracker fills its window in
-            # Python; the other policies walk the same scalar loop anyway.
-            with mock.patch.object(
-                ScanSupport, "build", classmethod(lambda cls, blocks: None)
-            ):
-                assert digest(*case) == vectorized
-            if policy == "forestall":
-                with mock.patch.object(forestall_module, "_np", None):
-                    assert digest(*case) == vectorized
-
-        with mock.patch.object(Forestall, "_rank_array", counting):
-            check()
-        if policy == "forestall":
-            assert numpy_passes
+        jumping = digest()
+        with mock.patch.object(Forestall, "_survey", rank_by_rank_survey):
+            assert digest() == jumping

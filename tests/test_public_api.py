@@ -53,16 +53,28 @@ class TestExports:
         assert repro.trace.trace_io.loads
 
 
-    def test_service_import_leaves_analysis_unloaded(self):
-        # The server imports repro.obs for its telemetry; the experiments
-        # and figures of repro.analysis load only where a report renders.
+    @staticmethod
+    def loads(module, other):
+        """Whether importing ``module`` in a fresh interpreter loads
+        ``other``."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        probe = "import sys, repro.svc; print('repro.analysis' in sys.modules)"
+        probe = f"import sys, {module}; print({other!r} in sys.modules)"
         loaded = subprocess.run(
             [sys.executable, "-c", probe], check=True, capture_output=True,
             text=True, env=dict(os.environ, PYTHONPATH=src),
         ).stdout.strip()
-        assert loaded == "False"
+        return loaded == "True"
+
+    def test_service_import_leaves_analysis_unloaded(self):
+        # The server imports repro.obs for its telemetry; the experiments
+        # and figures of repro.analysis load only where a report renders.
+        assert not self.loads("repro.svc", "repro.analysis")
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # The simulator is the standard library only: the CLI, and so the
+        # engine, every sweep worker and `repro-sim serve`, never pays for
+        # importing numpy.
+        assert not self.loads("repro.cli", "numpy")
 
 
 class TestRunSimulationContract:

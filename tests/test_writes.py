@@ -1,16 +1,17 @@
 """Write references and write-behind flushing."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.core import SimConfig, Simulator, make_policy
-from repro.core import forestall as forestall_module
 from repro.core.forestall import Forestall
-from repro.core.nextref import ScanSupport, _np
+from repro.core.hints import HintQuality, degrade_hints
 from repro.runner import result_digest
 from repro.trace import Trace
 from tests.conftest import simple_config
+from tests.survey_oracle import rank_by_rank_survey
 
 
 def rw_trace(blocks, writes, compute_ms=1.0, name="rw"):
@@ -140,45 +141,40 @@ class TestWritesWithPrefetchers:
         result = sim.run()
         assert result.references == len(blocks)
 
-    @pytest.mark.skipif(_np is None, reason="the numpy survey pass needs numpy")
-    def test_forestall_vector_and_scalar_paths_agree_on_writes(self, monkeypatch):
-        # Forestall's survey finishes per-disk missing lists longer than its
-        # walk crossover with numpy; on a write trace, whose in-place
-        # allocations remove tracker entries, that must give the same run
-        # as the pure-Python walk and as the tracker's window fill without
-        # ScanSupport's probe.
-        # Compute as long as a fetch leaves the lists slack, so they seldom
-        # fire within the walk and the numpy pass runs.
+    def test_forestall_survey_matches_rank_by_rank_on_writes(
+            self, monkeypatch):
+        # On a write trace, whose in-place allocations remove tracker
+        # entries, the survey's jumps must give the same run as the
+        # rank-by-rank walk kept in tests/survey_oracle.py, on striped and
+        # mirrored arrays, with perfect and degraded hints.  Compute as
+        # long as a fetch leaves the lists slack, so they seldom fire and
+        # the survey jumps over most of their ranks.
         rng = random.Random(1)
         blocks = [rng.randrange(600) for _ in range(1000)]
         mask = [rng.random() < 0.5 for _ in range(1000)]
+        trace = rw_trace(blocks, mask, compute_ms=5.0)
         config = SimConfig(
             cache_blocks=128, driver_overhead_ms=2.0, disk_model="simple",
             simple_access_ms=5.0, simple_sequential_ms=5.0,
         )
+        degraded = degrade_hints(
+            trace, HintQuality(missing_fraction=0.1, wrong_fraction=0.05,
+                               seed=3)
+        )
 
-        def digest():
+        def digest(mirrored, hints):
             sim = Simulator(
-                rw_trace(blocks, mask, compute_ms=5.0),
-                Forestall(batch_size=1), 2, config,
+                trace, Forestall(batch_size=1), 2,
+                dataclasses.replace(config, mirrored=mirrored), hints=hints,
             )
             return result_digest(sim.run())
 
-        numpy_passes = []
-        rank_array = Forestall._rank_array
-
-        def counting(policy, count):
-            numpy_passes.append(count)
-            return rank_array(policy, count)
-
-        monkeypatch.setattr(Forestall, "_rank_array", counting)
-        with_numpy = digest()
-        assert numpy_passes
-        with monkeypatch.context() as patch:
-            patch.setattr(forestall_module, "_np", None)
-            assert digest() == with_numpy
-        monkeypatch.setattr(ScanSupport, "build", classmethod(lambda cls, b: None))
-        assert digest() == with_numpy
+        for mirrored in (False, True):
+            for hints in (None, degraded):
+                jumping = digest(mirrored, hints)
+                with monkeypatch.context() as patch:
+                    patch.setattr(Forestall, "_survey", rank_by_rank_survey)
+                    assert digest(mirrored, hints) == jumping, (mirrored, hints)
 
     def test_no_writes_means_no_extras(self):
         from tests.conftest import run as plain_run
