@@ -2,8 +2,10 @@
 
 import math
 import random
+import sys
 from array import array
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -195,22 +197,26 @@ class TestSurveyOracle:
     """Both surveys give the global-order walk's four outputs: the survey
     in use ("as-built"), jumping over ranks, with its least slack capped
     at the recheck interval; the rank-by-rank walk kept in
-    ``tests/survey_oracle.py`` ("walk") uncapped."""
+    ``tests/survey_oracle.py`` ("walk") uncapped.  "no-numpy" is the
+    survey in use with numpy unimportable while it runs."""
 
     PATHS = {
-        "as-built": (Forestall._survey, _RECHECK_CAP),
-        "walk": (rank_by_rank_survey, None),
+        "as-built": (Forestall._survey, _RECHECK_CAP, {}),
+        "no-numpy": (Forestall._survey, _RECHECK_CAP, {"numpy": None}),
+        "walk": (rank_by_rank_survey, None, {}),
     }
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_matches_global_walk(self, path):
-        walk, cap = self.PATHS[path]
+        walk, cap, blocked = self.PATHS[path]
 
         @given(case=survey_cases())
         @settings(max_examples=400, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
         def check(case):
-            assert survey(*case, walk=walk) == global_walk(*case, cap=cap)
+            with mock.patch.dict(sys.modules, blocked):
+                outputs = survey(*case, walk=walk)
+            assert outputs == global_walk(*case, cap=cap)
 
         check()
 
