@@ -32,7 +32,17 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    cast,
+)
 
 from repro.core import events as ev
 from repro.core.cache import BufferCache
@@ -59,6 +69,7 @@ from repro.faults.schedule import FaultSchedule, UnrecoverableReadError
 from repro.trace.trace import Trace
 
 if TYPE_CHECKING:
+    from repro.core.policy import SimulatorLike
     from repro.obs.observer import Observer
 
 _EVENT_DISK = 0  # completions processed before app steps at equal times
@@ -123,6 +134,8 @@ class SimConfig:
     #: death (see repro.faults).  None (or a null schedule) leaves every
     #: code path and floating-point value of a healthy run untouched.
     faults: Optional[FaultSchedule] = None
+    #: The drives' geometry for "hp97560" and "simple".  "hp97560-zoned"
+    #: and "ibm0661" bring their own, and refuse any other but the default.
     geometry: DiskGeometry = HP97560
 
     def __post_init__(self) -> None:
@@ -162,6 +175,15 @@ class SimConfig:
                     f"SimConfig.{name}={getattr(self, name)!r}: unknown "
                     f"{what}; expected one of {', '.join(valid)}"
                 )
+        own_geometry = _DRIVES[self.disk_model][0]
+        if own_geometry is not None and self.geometry not in (
+            HP97560, own_geometry
+        ):
+            raise ValueError(
+                f"SimConfig.geometry={self.geometry!r}: disk model "
+                f"{self.disk_model!r} has its own geometry; leave geometry "
+                f"at its default"
+            )
 
     def with_(self, **changes: object) -> "SimConfig":
         return replace(self, **changes)
@@ -235,16 +257,23 @@ class _Machine:
 
         ``tick = (period_ms, callback)`` calls ``callback`` every
         ``period_ms`` of simulated time while other events are pending.
+
+        However the run ends, the machine then forgets its processes, each
+        process its peers and each policy its simulator.  Those are the
+        run's only back-edges, so dropping the last reference to a finished
+        run frees it at once, not at the cyclic collector's next
+        generation-2 pass.  Events still queued are dropped too, so a
+        second ``run()`` dispatches nothing.
         """
         events = self.events
-        for process in self.processes:
-            process._push(0.0, _EVENT_APP)
-        if tick is not None:
-            heapq.heappush(events, (tick[0], _EVENT_TICK, self.next_seq(), 0, 0))
         processes = self.processes
         heappop = heapq.heappop
         dispatched = 0
         try:
+            for process in processes:
+                process._push(0.0, _EVENT_APP)
+            if tick is not None:
+                heapq.heappush(events, (tick[0], _EVENT_TICK, self.next_seq(), 0, 0))
             while events and self.live:
                 now, kind, _seq, pid, payload = heappop(events)
                 dispatched += 1
@@ -266,6 +295,11 @@ class _Machine:
                         )
         finally:
             self.events_dispatched += dispatched
+            for process in processes:
+                process._peers = ()
+                process.policy.sim = cast("SimulatorLike", None)
+            processes.clear()
+            events.clear()
         if self.live:
             raise RuntimeError("simulation deadlocked before trace completion")
 

@@ -31,6 +31,7 @@ import math
 from array import array
 from collections import deque
 from typing import (
+    Callable,
     Collection,
     Deque,
     Dict,
@@ -84,12 +85,20 @@ class _MissingTracker:
     On a mirrored array a read goes to whichever copy's disk is less
     loaded when it issues, so no entry has a fixed disk: ``lists`` is then
     one list in global order, split by disk when a survey asks.
+
+    The tracker keeps the parts of the simulator it reads, not the
+    simulator: a reference back to it would keep a finished run alive in
+    a reference cycle.
     """
 
     def __init__(self, sim: SimulatorLike, window: int) -> None:
-        self.sim = sim
         self.window = window
         self.scanned_to = 0
+        self.blocks = sim.blocks
+        self.num_disks = sim.num_disks
+        #: Live views of the cache's present blocks and the lost blocks.
+        self.present = sim.cache.present
+        self.lost = sim.lost_blocks
         self._probe = ScanSupport(sim.blocks)
         self._position_of: Dict[int, int] = {}  # block -> its listed position
         self._homes: Optional[Mapping[int, int]] = sim.fixed_disk_of
@@ -102,12 +111,12 @@ class _MissingTracker:
         return self.lists[0 if homes is None else homes[block]]
 
     def extend(self, cursor: int) -> None:
-        blocks = self.sim.blocks
+        blocks = self.blocks
         end = min(len(blocks), cursor + self.window)
         start = max(self.scanned_to, cursor)
         if start >= end:
             return
-        lost = self.sim.lost_blocks
+        lost = self.lost
         position_of = self._position_of
         homes = self._homes
         lists = self.lists
@@ -115,9 +124,7 @@ class _MissingTracker:
         # of ``present`` holds for the whole loop.  New positions lie past
         # every listed one (the scan never revisits), so appending keeps
         # each list sorted.
-        missing = self._probe.missing_candidates(
-            start, end, self.sim.cache.present
-        )
+        missing = self._probe.missing_candidates(start, end, self.present)
         for position in missing:
             block = blocks[position]
             if (
@@ -168,7 +175,7 @@ class _MissingTracker:
             for entries in lists
         ]
         if sum(starts) > _PRUNE_BEHIND:
-            blocks = self.sim.blocks
+            blocks = self.blocks
             position_of = self._position_of
             for entries, start in zip(lists, starts):
                 for position in entries[:start]:
@@ -179,20 +186,22 @@ class _MissingTracker:
             starts = [0] * len(lists)
         return starts
 
-    def by_disk(self, cursor: int) -> Tuple[List["array[int]"], List[int]]:
+    def by_disk(
+        self, cursor: int, disk_of: Callable[[int], int]
+    ) -> Tuple[List["array[int]"], List[int]]:
         """Each disk's sorted missing positions and the index of its first
         one at/past ``cursor``.  The lists are live (fixed placement) or
-        built for this call (mirrored): read them before any mutation."""
+        split with ``disk_of`` for this call (mirrored): read them before
+        any mutation."""
         starts = self._starts(cursor)
         if self._homes is not None:
             return self.lists, starts
-        sim = self.sim
-        blocks = sim.blocks
-        disk_of = sim.disk_of
-        split: List["array[int]"] = [array("q") for _ in range(sim.num_disks)]
+        blocks = self.blocks
+        count = self.num_disks
+        split: List["array[int]"] = [array("q") for _ in range(count)]
         for position in self.lists[0][starts[0]:]:
             split[disk_of(blocks[position])].append(position)
-        return split, [0] * sim.num_disks
+        return split, [0] * count
 
     def batch_positions(
         self,
@@ -427,7 +436,7 @@ class Forestall(PrefetchPolicy):
         1-43 ranks on average where a rank-by-rank walk visits 8-618
         (``benchmarks/BENCH_pure_survey.json``).
         """
-        lists, starts = self._tracker.by_disk(cursor)
+        lists, starts = self._tracker.by_disk(cursor, self.sim.disk_of)
         horizon = self.horizon
         triggered: Set[int] = set()
         backstopped: Set[int] = set()

@@ -123,7 +123,9 @@ class PrefetchPolicy:
     # -- engine wiring --------------------------------------------------------
 
     def bind(self, sim: SimulatorLike) -> None:
-        """Attach to a simulator; called once before the run starts."""
+        """Attach to a simulator; called once before the run starts.  The
+        engine detaches the policy (``sim`` back to None) when the run
+        ends, so the pair forms no reference cycle."""
         self.sim = sim
 
     # -- decision points (overridden by algorithms) ---------------------------
@@ -240,7 +242,12 @@ class MissingScanner:
     """
 
     def __init__(self, sim: SimulatorLike) -> None:
-        self.sim = sim
+        # The parts of ``sim`` the walk reads, not ``sim`` itself: a scanner
+        # that pointed back at its simulator would keep a finished run alive
+        # in a reference cycle.  The containers are live, never replaced.
+        self.blocks = sim.blocks
+        self.present = sim.cache.present
+        self.lost = sim.lost_blocks
         self.floor = 0
 
     def invalidate(self, position: float) -> None:
@@ -259,10 +266,9 @@ class MissingScanner:
         responsible for advancing :attr:`floor` afterwards (to the last
         position known missing-free).
         """
-        sim = self.sim
-        blocks = sim.blocks
-        present = sim.cache.present
-        lost = sim.lost_blocks
+        blocks = self.blocks
+        present = self.present
+        lost = self.lost
         for position in range(max(cursor, self.floor), min(end, len(blocks))):
             block = blocks[position]
             if block not in present and block not in lost:

@@ -19,6 +19,7 @@ import contextlib
 import hashlib
 import json
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -46,11 +47,20 @@ if TYPE_CHECKING:
 
 #: Keyed by (name, scale, seed) — the complete build_workload signature —
 #: so differently scaled cells never alias.
-TraceCache = Dict[Tuple[str, float, Optional[int]], Trace]
+TraceKey = Tuple[str, float, Optional[int]]
+TraceCache = Dict[TraceKey, Trace]
 
-#: Cross-cell trace cache for long-lived processes (pool workers replay
+#: How many traces the per-process memo keeps; the least recently used
+#: goes first.  Every plan the runner builds is trace-major
+#: (``sweep_cells``, ``baseline_cells``), so a worker is done with a trace
+#: when it moves to the next; perfbench's ``sweep`` spreads 4 traces over 2
+#: workers.  A service worker sent a fresh seed never hits the memo, which
+#: without a bound kept one more trace for every seed.
+_TRACE_CACHE_SIZE = 4
+
+#: Cross-cell trace memo for long-lived processes (pool workers replay
 #: many cells of the same trace; rebuilding it per cell would dominate).
-_TRACE_CACHE: TraceCache = {}
+_TRACE_CACHE: "OrderedDict[TraceKey, Trace]" = OrderedDict()
 
 
 def validate_names(trace_name: str, policy: object) -> None:
@@ -79,17 +89,22 @@ def get_trace(
     seed: Optional[int] = None,
     cache: Optional[TraceCache] = None,
 ) -> Trace:
-    """Build (or reuse) a workload; ``cache`` defaults to the module-wide
-    per-process cache."""
+    """Build (or reuse) a workload.  ``cache`` defaults to the module-wide
+    per-process memo, which keeps the ``_TRACE_CACHE_SIZE`` most recently
+    used traces; a ``cache`` the caller passes keeps every trace."""
     store = _TRACE_CACHE if cache is None else cache
     key = (name, scale, seed)
     trace = store.get(key)
+    # Per-process memo by design: each forked worker builds, keeps and
+    # evicts its own few traces; nothing reads the parent's copy back, so
+    # the copy-on-write divergence SL014 warns about is the point.
     if trace is None:
         trace = build_workload(name, scale=scale, seed=seed)
-        # Per-process memo by design: each forked worker rebuilds and
-        # caches its own traces; nothing reads the parent's copy back,
-        # so the copy-on-write divergence SL014 warns about is the point.
         store[key] = trace  # simlint: disable=SL014
+    if store is _TRACE_CACHE:
+        _TRACE_CACHE.move_to_end(key)
+        if len(_TRACE_CACHE) > _TRACE_CACHE_SIZE:
+            _TRACE_CACHE.popitem(last=False)  # simlint: disable=SL014
     return trace
 
 

@@ -23,7 +23,7 @@ def rank_by_rank_survey(
 ) -> Survey:
     """The four survey outputs, from a walk of every rank up to each
     disk's first trigger."""
-    lists, starts = policy._tracker.by_disk(cursor)
+    lists, starts = policy._tracker.by_disk(cursor, policy.sim.disk_of)
     horizon = policy.horizon
     triggered: Set[int] = set()
     backstopped: Set[int] = set()

@@ -1,10 +1,13 @@
 """Simulation engine: timing, accounting, and decision-point plumbing."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import POLICIES, PrefetchPolicy, SimConfig, Simulator, make_policy
 from repro.core.multiprocess import MultiProcessSimulator
 from repro.core.policy import PrefetchPolicy as BasePolicy
+from repro.disk.geometry import HP97560, HP97560_ZONED, IBM0661
 from repro.trace import build as build_workload
 from repro.trace import cache_blocks_for
 from tests.conftest import make_trace, run, simple_config
@@ -151,6 +154,28 @@ class TestEngineRobustness:
     def test_out_of_range_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"SimConfig.{field}="):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("disk_model, geometry", [
+        ("ibm0661", HP97560_ZONED),
+        ("hp97560-zoned", IBM0661),
+        ("hp97560-zoned", replace(HP97560, rpm=5400.0)),
+    ])
+    def test_geometry_a_disk_model_ignores_rejected(self, disk_model, geometry):
+        """These models bring their own geometry; another one would be
+        silently ignored."""
+        with pytest.raises(ValueError, match="SimConfig.geometry="):
+            SimConfig(disk_model=disk_model, geometry=geometry)
+
+    @pytest.mark.parametrize("disk_model, geometry", [
+        ("ibm0661", HP97560),
+        ("ibm0661", IBM0661),
+        ("hp97560-zoned", HP97560_ZONED),
+        ("hp97560", IBM0661),
+        ("simple", HP97560_ZONED),
+    ])
+    def test_geometry_a_disk_model_honours_accepted(self, disk_model, geometry):
+        assert SimConfig(disk_model=disk_model, geometry=geometry).geometry \
+            is geometry
 
     def test_boundary_config_accepted(self):
         config = SimConfig(driver_overhead_ms=0.0, simple_sequential_ms=None,

@@ -78,7 +78,7 @@ class TestMissingTracker:
         # Each disk's list is sorted and holds only that disk's blocks.
         tracker, sim = self._tracker(list(range(12, 0, -1)), disks=3)
         tracker.extend(0)
-        lists, starts = tracker.by_disk(0)
+        lists, starts = tracker.by_disk(0, sim.disk_of)
         assert starts == [0, 0, 0]
         assert sorted(p for entries in lists for p in entries) == list(range(12))
         for disk, entries in enumerate(lists):
@@ -86,19 +86,19 @@ class TestMissingTracker:
             assert all(sim.disk_of(sim.blocks[p]) == disk for p in entries)
 
     def test_walk_skips_behind_cursor(self):
-        tracker, _sim = self._tracker([5, 6, 7])
+        tracker, sim = self._tracker([5, 6, 7])
         tracker.extend(0)
-        lists, starts = tracker.by_disk(2)
+        lists, starts = tracker.by_disk(2, sim.disk_of)
         assert list(lists[0][starts[0]:]) == [2]
 
     def test_entries_behind_cursor_dropped_past_threshold(self):
         # A block listed behind the cursor is not listed again until the
         # entry is dropped, so when that happens is part of the results.
-        tracker, _sim = self._tracker(list(range(600)), window=600)
+        tracker, sim = self._tracker(list(range(600)), window=600)
         tracker.extend(0)
-        lists, starts = tracker.by_disk(256)
+        lists, starts = tracker.by_disk(256, sim.disk_of)
         assert starts == [256] and len(lists[0]) == 600
-        lists, starts = tracker.by_disk(257)
+        lists, starts = tracker.by_disk(257, sim.disk_of)
         assert starts == [0] and lists[0][0] == 257
         assert 0 not in tracker._position_of and 257 in tracker._position_of
 
@@ -184,11 +184,15 @@ def survey_cases(draw):
 def survey(lists, cursor, estimates, horizon, walk=Forestall._survey):
     """Forestall's survey over ``lists`` as its per-disk index."""
     top = max([cursor] + [p for positions in lists for p in positions])
+    # Fixed placement (``fixed_disk_of``), so the survey splits nothing
+    # with ``disk_of``.
     sim = SimpleNamespace(fixed_disk_of={}, num_disks=len(lists),
-                          blocks=range(top + 1))
+                          blocks=range(top + 1), lost_blocks=set(),
+                          cache=SimpleNamespace(present=set()), disk_of=None)
     tracker = _MissingTracker(sim, window=0)
     tracker.lists = [array("q", positions) for positions in lists]
     policy = Forestall(horizon=horizon)
+    policy.sim = sim
     policy._tracker = tracker
     return walk(policy, cursor, estimates)
 

@@ -22,6 +22,7 @@ import sys
 import textwrap
 import threading
 import time
+from collections import OrderedDict
 
 import pytest
 
@@ -40,6 +41,7 @@ from repro.runner import (
     validate_names,
     write_json_atomic,
 )
+import repro.runner.execute as execute_mod
 from repro.runner.execute import CELL_KINDS
 from repro.runner.runner import (
     EXIT_DEADLINE,
@@ -204,6 +206,64 @@ class TestValidation:
     def test_unknown_cell_kind(self):
         with pytest.raises(ValueError, match="unknown cell kind"):
             execute_cell(kind_cell("no-such-kind"))
+
+
+class TestTraceMemo:
+    """A process's trace memo keeps its ``_TRACE_CACHE_SIZE`` most
+    recently used traces, which is every trace a trace-major plan still
+    needs."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """An empty memo, and the key of every trace built into it."""
+        monkeypatch.setattr(execute_mod, "_TRACE_CACHE", OrderedDict())
+        built = []
+        build = execute_mod.build_workload
+
+        def counting(name, scale, seed):
+            built.append((name, scale, seed))
+            return build(name, scale=scale, seed=seed)
+
+        monkeypatch.setattr(execute_mod, "build_workload", counting)
+        return built
+
+    def test_memo_keeps_the_most_recently_used_traces(self, builds):
+        def run_seed(seed):
+            execute_cell(Cell(trace="ld", policy="demand", disks=1,
+                              scale=0.02, seed=seed))
+
+        size = execute_mod._TRACE_CACHE_SIZE
+        assert size < 12
+        for seed in range(12):
+            run_seed(seed)
+        assert len(builds) == 12
+        assert list(execute_mod._TRACE_CACHE) == [
+            ("ld", 0.02, seed) for seed in range(12 - size, 12)
+        ]
+        oldest = 12 - size
+        run_seed(oldest)  # a hit: now the most recently used
+        run_seed(12)  # evicts the least recently used
+        assert len(builds) == 13
+        assert list(execute_mod._TRACE_CACHE) == [
+            ("ld", 0.02, seed) for seed in [*range(oldest + 2, 12), oldest, 12]
+        ]
+
+    def test_trace_major_plan_builds_each_trace_once(self, builds):
+        from repro.analysis.experiments import ExperimentSetting
+
+        setting = ExperimentSetting(scale=0.02)
+        traces = ("ld", "postgres-select", "cscope1", "xds", "postgres-join",
+                  "dinero")
+        assert len(traces) > execute_mod._TRACE_CACHE_SIZE
+        plan = [
+            cell
+            for trace in traces
+            for cell in sweep_cells(setting, trace, ("demand", "forestall"),
+                                    (1, 2))
+        ]
+        for cell in plan:
+            execute_cell(cell)
+        assert [name for name, _scale, _seed in builds] == list(traces)
 
 
 # -- journal durability -----------------------------------------------------------------
