@@ -8,6 +8,11 @@ of result digests is exactly the pinned golden set — i.e. interrupting
 and resuming a parallel sweep is bit-identical to an uninterrupted
 serial run.
 
+Through the ``repro-sim runs`` reader it checks the run records: the
+interrupted run reads ``interrupted`` (``complete`` if it finished
+before the signal) and the resumed one ``complete``, and after each the
+run directory holds ``journal.jsonl`` and nothing else.
+
 It then serves the run directory with an in-process
 ``SimulationService`` (one worker) over the same golden plan: a run
 directory is a result store (docs/SERVICE.md), so every cell must come
@@ -35,7 +40,7 @@ for path in (REPO, os.path.join(REPO, "src")):
     if path not in sys.path:
         sys.path.insert(0, path)
 
-from repro.runner import Journal, run_plan  # noqa: E402
+from repro.runner import Journal, run_plan, run_summary  # noqa: E402
 from repro.runner.runner import EXIT_INTERRUPTED, EXIT_OK  # noqa: E402
 from repro.svc import ServiceConfig, SimulationService  # noqa: E402
 from tests.test_golden_results import CELLS, EXPECTED, cell_id  # noqa: E402
@@ -45,6 +50,15 @@ from tests.test_runner import golden_plan  # noqa: E402
 def child(journal_dir: str, jobs: int) -> int:
     report = run_plan(golden_plan(), journal_dir=journal_dir, jobs=jobs)
     return report.exit_code
+
+
+def one_file_run(journal_dir: str, expected: tuple) -> bool:
+    """The run records read one of ``expected`` and the run directory
+    holds the journal alone."""
+    status = run_summary(Journal(journal_dir))["status"]
+    files = sorted(os.listdir(journal_dir))
+    print(f"smoke: runs reads {status!r}; run directory holds {files}")
+    return status in expected and files == ["journal.jsonl"]
 
 
 def serve_run_directory(journal_dir: str):
@@ -92,6 +106,9 @@ def parent(journal_dir: str, jobs: int) -> int:
         print(f"smoke: FAIL — child exited {proc.returncode} "
               f"with {interrupted} cells journaled")
         return 1
+    if not one_file_run(journal_dir, ("interrupted", "complete")):
+        print("smoke: FAIL — the interrupted run's records or directory")
+        return 1
 
     report = run_plan(
         golden_plan(), journal_dir=journal_dir, jobs=jobs, resume=True,
@@ -102,6 +119,9 @@ def parent(journal_dir: str, jobs: int) -> int:
           f"exit {report.exit_code}")
     if report.exit_code != EXIT_OK:
         print("smoke: FAIL — resumed run did not complete cleanly")
+        return 1
+    if not one_file_run(journal_dir, ("complete",)):
+        print("smoke: FAIL — the resumed run's records or directory")
         return 1
 
     failures = 0

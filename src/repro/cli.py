@@ -421,8 +421,8 @@ def cmd_runs(args) -> int:
     argv = resume_argv(journal)
     if argv is None:
         raise SystemExit(
-            f"{directory}: manifest records no creating command; re-run the "
-            "original sweep with --resume and --journal pointing here"
+            f"{directory}: no run record names a creating command; re-run "
+            "the original sweep with --resume and --journal pointing here"
         )
     print(f"resuming: repro-sim {' '.join(argv)}")
     return main(argv)
@@ -922,7 +922,9 @@ def main(argv=None) -> int:
     runs_list = runs_sub.add_parser("list", help="summarize runs under --root")
     runs_list.add_argument("--root", default="runs")
     runs_show = runs_sub.add_parser(
-        "show", help="manifest, digests, and outstanding failures of one run"
+        "show",
+        help="run records (status, plan, argv, counters), digests, and "
+        "outstanding failures of one run",
     )
     runs_show.add_argument("run", help="run directory (or name under --root)")
     runs_show.add_argument("--root", default="runs")

@@ -227,6 +227,9 @@ class _Machine:
         self.events_dispatched = 0
         #: Disk offers made so far; it picks who is offered first.
         self.offers = 0
+        #: The error that ended a run, as text (the exception itself would
+        #: hold its traceback's frames, and through them the run).
+        self.failure: Optional[str] = None
 
     def join(self, process: "Simulator") -> int:
         """Add ``process``; returns its index."""
@@ -263,7 +266,8 @@ class _Machine:
         run's only back-edges, so dropping the last reference to a finished
         run frees it at once, not at the cyclic collector's next
         generation-2 pass.  Events still queued are dropped too, so a
-        second ``run()`` dispatches nothing.
+        second ``run()`` dispatches nothing; after a run that raised, it
+        raises a ``RuntimeError`` naming that run's error.
         """
         events = self.events
         processes = self.processes
@@ -293,6 +297,9 @@ class _Machine:
                             events,
                             (now + period_ms, _EVENT_TICK, self.next_seq(), 0, 0),
                         )
+        except Exception as exc:
+            self.failure = f"{type(exc).__name__}: {exc}"
+            raise
         finally:
             self.events_dispatched += dispatched
             for process in processes:
@@ -300,6 +307,8 @@ class _Machine:
                 process.policy.sim = cast("SimulatorLike", None)
             processes.clear()
             events.clear()
+        if self.failure is not None:
+            raise RuntimeError(f"the run already failed: {self.failure}")
         if self.live:
             raise RuntimeError("simulation deadlocked before trace completion")
 

@@ -40,7 +40,7 @@ _MUTATORS = frozenset(
     {
         "append", "extend", "insert", "remove", "pop", "clear", "sort",
         "reverse", "update", "setdefault", "popitem", "add", "discard",
-        "appendleft", "popleft",
+        "appendleft", "popleft", "move_to_end",
     }
 )
 

@@ -20,7 +20,6 @@ from repro.runner.execute import (
 from repro.runner.journal import (
     Journal,
     list_runs,
-    sweep_stale_tmp,
     write_json_atomic,
 )
 from repro.runner.plan import (
@@ -36,6 +35,7 @@ from repro.runner.report import (
     format_run_detail,
     format_runs_table,
     resume_argv,
+    run_summary,
 )
 from repro.runner.runner import (
     EXIT_DEADLINE,
@@ -72,9 +72,9 @@ __all__ = [
     "result_digest",
     "resume_argv",
     "run_plan",
+    "run_summary",
     "scaled_policy_kwargs",
     "sweep_cells",
-    "sweep_stale_tmp",
     "tuned_reverse_cell",
     "validate_names",
     "write_json_atomic",

@@ -95,14 +95,15 @@ def get_trace(
     store = _TRACE_CACHE if cache is None else cache
     key = (name, scale, seed)
     trace = store.get(key)
-    # Per-process memo by design: each forked worker builds, keeps and
-    # evicts its own few traces; nothing reads the parent's copy back, so
-    # the copy-on-write divergence SL014 warns about is the point.
+    # Per-process memo by design: each forked worker builds, keeps,
+    # reorders and evicts its own few traces; nothing reads the parent's
+    # copy back, so the copy-on-write divergence SL014 warns about is the
+    # point.
     if trace is None:
         trace = build_workload(name, scale=scale, seed=seed)
         store[key] = trace  # simlint: disable=SL014
     if store is _TRACE_CACHE:
-        _TRACE_CACHE.move_to_end(key)
+        _TRACE_CACHE.move_to_end(key)  # simlint: disable=SL014
         if len(_TRACE_CACHE) > _TRACE_CACHE_SIZE:
             _TRACE_CACHE.popitem(last=False)  # simlint: disable=SL014
     return trace

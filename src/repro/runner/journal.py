@@ -1,24 +1,24 @@
-"""Crash-safe run journals: append-only fsynced JSONL + atomic manifest.
+"""Crash-safe run journals: one append-only, fsynced JSONL file.
 
-A run directory holds two files:
+A run directory holds one file, ``journal.jsonl``: one JSON object per
+line, appended and fsynced before the writer moves on.  A run killed at
+any instant leaves at worst one truncated final line, which the reader
+skips — every fully written record survives, and the next append starts
+a fresh line rather than extending the fragment.  Two kinds of record
+share the file:
 
-``journal.jsonl``
-    One JSON record per line, appended and fsynced as each cell finishes
-    (``{"v": 1, "kind": "cell", "hash": …, "status": "ok"|"failed", …}``).
-    A run killed at any instant leaves at worst one truncated final line,
-    which the loader skips — every fully written record survives, and the
-    next append starts a fresh line rather than extending the fragment.
+``{"v": 1, "kind": "cell", "hash": …, "status": "ok"|"failed", …}``
+    One terminal cell outcome, keyed by the cell's **config hash** (see
+    :mod:`repro.runner.plan`).
+``{"v": 1, "kind": "run", "event": "start"|"end", …}``
+    :func:`~repro.runner.run_plan`'s bracket around one run: the plan
+    and its creating argv at the start, the status and counters at the
+    end.  ``repro-sim runs`` reads them (:mod:`repro.runner.report`).
 
-``manifest.json``
-    Plan-level metadata (plan hash, cell count, creating argv, status),
-    rewritten atomically (tmp + ``os.replace``) so readers never observe
-    a torn manifest.
-
-``--resume`` keys on the cell **config hash** (see
-:mod:`repro.runner.plan`): completed cells are skipped, failed or missing
-cells re-run.  The service's result store (:mod:`repro.svc.store`) is
-the same directory read by byte offset, so one run directory serves
-both.  See ``docs/RUNNER.md`` for the full schema.
+``--resume`` skips the cells with a success record and re-runs failed or
+missing ones.  The service's result store (:mod:`repro.svc.store`) is
+the same file read by byte offset, so one run directory serves both.
+See ``docs/RUNNER.md`` for the full schema.
 """
 
 from __future__ import annotations
@@ -26,41 +26,17 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import IO, TYPE_CHECKING, Any, Dict, List, Optional
+from typing import (
+    IO, TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple,
+)
 
 if TYPE_CHECKING:
     from repro.obs import MetricsRegistry
 
 JOURNAL_NAME = "journal.jsonl"
-MANIFEST_NAME = "manifest.json"
 
-#: Journal/manifest schema version.
+#: Journal record schema version.
 SCHEMA_VERSION = 1
-
-
-def sweep_stale_tmp(directory: str) -> int:
-    """Remove orphaned ``.*.tmp`` files left by a crash mid-
-    :func:`write_json_atomic` (killed between tmp-write and ``os.replace``).
-
-    Callers invoke this when they *open* a run directory — never
-    concurrently with a live writer, which is the same single-writer
-    assumption the fixed tmp name already makes.  Returns the number of
-    stale files removed.
-    """
-    removed = 0
-    try:
-        entries = os.listdir(directory)
-    except OSError:
-        return 0
-    for name in entries:
-        if not (name.startswith(".") and name.endswith(".tmp")):
-            continue
-        try:
-            os.unlink(os.path.join(directory, name))
-            removed += 1
-        except OSError:
-            continue
-    return removed
 
 
 def write_json_atomic(path: str, payload: Any, indent: int = 2) -> None:
@@ -99,7 +75,7 @@ def _fsync_dir(directory: str) -> None:
 
 
 class Journal:
-    """One run directory: append-only cell records plus a manifest."""
+    """One run directory: append-only cell and run records."""
 
     def __init__(
         self,
@@ -108,49 +84,20 @@ class Journal:
     ) -> None:
         self.directory = directory
         self.journal_path = os.path.join(directory, JOURNAL_NAME)
-        self.manifest_path = os.path.join(directory, MANIFEST_NAME)
         self._handle: Optional[IO[bytes]] = None
         #: Optional registry: each append observes its fsync latency into
         #: ``runner.journal_fsync_ms`` (a durability SLI — the fsync is
         #: the journal's whole crash-safety story, so a slow device shows
         #: up here first).
         self._metrics = metrics
-        self._swept = False
-        #: Orphaned ``.*.tmp`` files removed when this journal first wrote
-        #: to its directory (a crash between tmp-write and rename).
-        self.swept_tmp = 0
-        #: Malformed lines skipped by the most recent :meth:`records` or
-        #: :meth:`completed_offsets` read.  A torn *final* line is the
-        #: expected crash shape; once a later append has started a fresh
-        #: line after it, the fragment stays behind as a malformed
-        #: mid-file line — both are skipped and counted here (runner
-        #: metrics: ``runner.journal_skipped_lines``).
+        #: Lines the most recent read skipped: lines that do not parse,
+        #: and lines that parse to something other than an object.  A
+        #: torn *final* line is the expected crash shape; once a later
+        #: append has started a fresh line after it, the fragment stays
+        #: behind as a malformed mid-file line — every reader skips and
+        #: counts both alike (runner metrics:
+        #: ``runner.journal_skipped_lines``).
         self.skipped_lines = 0
-
-    def _open_directory(self) -> None:
-        """Create the run directory and sweep crash debris, once."""
-        os.makedirs(self.directory, exist_ok=True)
-        if not self._swept:
-            self._swept = True
-            self.swept_tmp = sweep_stale_tmp(self.directory)
-
-    # -- manifest ---------------------------------------------------------
-
-    def write_manifest(self, manifest: Dict[str, Any]) -> None:
-        self._open_directory()
-        manifest = dict(manifest)
-        manifest.setdefault("v", SCHEMA_VERSION)
-        write_json_atomic(self.manifest_path, manifest)
-
-    def read_manifest(self) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self.manifest_path) as handle:
-                manifest = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return manifest if isinstance(manifest, dict) else None
-
-    # -- journal ----------------------------------------------------------
 
     def append(self, record: Dict[str, Any]) -> int:
         """Append one record and fsync before returning: once ``append``
@@ -166,8 +113,9 @@ class Journal:
         record = dict(record)
         record.setdefault("v", SCHEMA_VERSION)
         if self._handle is None:
-            self._open_directory()
+            os.makedirs(self.directory, exist_ok=True)
             self._handle = open(self.journal_path, "a+b")
+            _fsync_dir(self.directory)  # a new file's name is durable too
         handle = self._handle
         offset = handle.seek(0, os.SEEK_END)
         if offset and os.pread(handle.fileno(), 1, offset - 1) != b"\n":
@@ -192,45 +140,11 @@ class Journal:
             self._handle.close()
             self._handle = None
 
-    def records(self) -> List[Dict[str, Any]]:
-        """Every fully written record, oldest first.
-
-        Malformed lines are skipped, not fatal, wherever they appear: a
-        crash mid-append leaves a torn *final* line, which stays behind
-        as a malformed *mid-file* line once a later append has started a
-        fresh line.  Each call recounts the skips into
-        :attr:`skipped_lines`.
-        """
-        records: List[Dict[str, Any]] = []
-        skipped = 0
-        try:
-            with open(self.journal_path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        records.append(json.loads(line))
-                    except json.JSONDecodeError:
-                        skipped += 1  # torn tail, or garbage appended over
-        except OSError:
-            pass
-        self.skipped_lines = skipped
-        return records
-
-    def completed(self) -> Dict[str, Dict[str, Any]]:
-        """Latest successful record per config hash (resume skip-set)."""
-        done: Dict[str, Dict[str, Any]] = {}
-        for record in self.records():
-            if record.get("kind") == "cell" and record.get("status") == "ok":
-                done[record["hash"]] = record
-        return done
-
-    def completed_offsets(self) -> Dict[str, int]:
-        """Byte offset of the latest successful record per config hash:
-        :meth:`completed` as an index for :meth:`read_at`, built in one
-        scan.  Skips are recounted into :attr:`skipped_lines`."""
-        offsets: Dict[str, int] = {}
+    def _scan(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
+        """Each object record with the byte offset its line starts at,
+        oldest first; once exhausted, the lines it skipped are in
+        :attr:`skipped_lines`.  Every reader is a view of this one pass,
+        so they all skip, and count, the same lines."""
         skipped = 0
         offset = 0
         try:
@@ -238,24 +152,46 @@ class Journal:
                 for line in handle:
                     start = offset
                     offset += len(line)
-                    if not line.strip():
-                        continue
                     try:
-                        record = json.loads(line)
-                    except ValueError:
-                        skipped += 1
+                        record = json.loads(line.decode())
+                    except ValueError:  # torn, garbage, or not UTF-8
+                        if line.strip():
+                            skipped += 1
                         continue
-                    if (
-                        isinstance(record, dict)
-                        and record.get("kind") == "cell"
-                        and record.get("status") == "ok"
-                        and isinstance(record.get("hash"), str)
-                    ):
-                        offsets[record["hash"]] = start
+                    if isinstance(record, dict):
+                        yield start, record
+                    else:
+                        skipped += 1
         except OSError:
             pass
         self.skipped_lines = skipped
-        return offsets
+
+    def _cells(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
+        """The cell records of :meth:`_scan`: those with a string hash."""
+        return (
+            (offset, record) for offset, record in self._scan()
+            if record.get("kind") == "cell"
+            and isinstance(record.get("hash"), str)
+        )
+
+    def records(self) -> List[Dict[str, Any]]:
+        """Every fully written record, oldest first."""
+        return [record for _, record in self._scan()]
+
+    def completed(self) -> Dict[str, Dict[str, Any]]:
+        """Latest successful record per config hash (resume skip-set)."""
+        return {
+            record["hash"]: record for _, record in self._cells()
+            if record.get("status") == "ok"
+        }
+
+    def completed_offsets(self) -> Dict[str, int]:
+        """Byte offset of the latest successful record per config hash:
+        :meth:`completed` as an index for :meth:`read_at`."""
+        return {
+            record["hash"]: offset for offset, record in self._cells()
+            if record.get("status") == "ok"
+        }
 
     def read_at(self, offset: int) -> Optional[Dict[str, Any]]:
         """The record whose line starts at byte ``offset``, or None when
@@ -271,15 +207,17 @@ class Journal:
         return record if isinstance(record, dict) else None
 
     def failures(self) -> List[Dict[str, Any]]:
-        """Failure records whose cells never subsequently succeeded."""
-        done = self.completed()
-        failures: Dict[str, Dict[str, Any]] = {}
-        for record in self.records():
-            if record.get("kind") != "cell":
-                continue
-            if record.get("status") == "failed" and record["hash"] not in done:
-                failures[record["hash"]] = record
-        return list(failures.values())
+        """Latest failure record per config hash, for cells that never
+        succeeded (before or after the failure)."""
+        done: Set[str] = set()
+        failed: Dict[str, Dict[str, Any]] = {}
+        for _, record in self._cells():
+            status = record.get("status")
+            if status == "ok":
+                done.add(record["hash"])
+            elif status == "failed":
+                failed[record["hash"]] = record
+        return [r for h, r in failed.items() if h not in done]
 
     def __enter__(self) -> "Journal":
         return self
@@ -290,14 +228,11 @@ class Journal:
 
 def list_runs(root: str) -> List[Journal]:
     """Journals under ``root``, sorted by directory name."""
-    journals: List[Journal] = []
     try:
         entries = sorted(os.listdir(root))
     except OSError:
         return []
-    for name in entries:
-        directory = os.path.join(root, name)
-        if os.path.isfile(os.path.join(directory, MANIFEST_NAME)) or \
-                os.path.isfile(os.path.join(directory, JOURNAL_NAME)):
-            journals.append(Journal(directory))
-    return journals
+    return [
+        Journal(os.path.join(root, name)) for name in entries
+        if os.path.isfile(os.path.join(root, name, JOURNAL_NAME))
+    ]

@@ -138,8 +138,8 @@ class Cell:
 
 
 def plan_hash(cells: Sequence[Cell]) -> str:
-    """Order-sensitive SHA-256 over a whole plan (manifest key and the
-    default journal directory name)."""
+    """Order-sensitive SHA-256 over a whole plan (a run's start record
+    and the default journal directory name)."""
     serialized = json.dumps([cell.to_dict() for cell in cells], sort_keys=True)
     return hashlib.sha256(serialized.encode("utf-8")).hexdigest()
 

@@ -1,4 +1,11 @@
-"""Human-readable views of run journals (the ``repro-sim runs`` command)."""
+"""Human-readable views of run journals (the ``repro-sim runs`` command).
+
+A run's status comes from its ``{"kind": "run"}`` records
+(:func:`repro.runner.run_plan`): the end record that follows the latest
+start record gives it; a start with no end reads ``unfinished`` (the
+run is still going, or was killed before it could end); a journal with
+no run record (a service's store) reads ``unknown``.
+"""
 
 from __future__ import annotations
 
@@ -8,18 +15,39 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.runner.journal import Journal, list_runs
 
 
-def _manifest_row(journal: Journal) -> Dict[str, Any]:
-    manifest = journal.read_manifest() or {}
-    completed = journal.completed()
-    failures = journal.failures()
+def run_summary(journal: Journal) -> Dict[str, Any]:
+    """The latest run's start record merged with the end record that
+    follows it, plus ``status``, ``created`` (the first start's time) and
+    ``updated`` (the latest run record's time)."""
+    first: Optional[Dict[str, Any]] = None
+    start: Optional[Dict[str, Any]] = None
+    end: Optional[Dict[str, Any]] = None
+    for record in journal.records():
+        if record.get("kind") != "run":
+            continue
+        if record.get("event") == "start":
+            first = first or record
+            start, end = record, None
+        elif record.get("event") == "end" and start is not None:
+            end = record
+    if first is None or start is None:
+        return {"status": "unknown"}
+    summary: Dict[str, Any] = {**start, **(end or {"status": "unfinished"})}
+    summary["created"] = first.get("time")
+    summary["updated"] = (end or start).get("time")
+    return summary
+
+
+def _summary_row(journal: Journal) -> Dict[str, Any]:
+    summary = run_summary(journal)
     return {
         "name": os.path.basename(journal.directory.rstrip(os.sep)),
-        "status": manifest.get("status", "unknown"),
-        "cells": manifest.get("cells", "?"),
-        "completed": len(completed),
-        "failed": len(failures),
-        "plan_hash": (manifest.get("plan_hash") or "")[:12],
-        "updated": manifest.get("updated", ""),
+        "status": summary["status"],
+        "cells": summary.get("cells", "?"),
+        "completed": len(journal.completed()),
+        "failed": len(journal.failures()),
+        "plan_hash": (summary.get("plan_hash") or "")[:12],
+        "updated": summary.get("updated") or "",
     }
 
 
@@ -31,7 +59,7 @@ def format_runs_table(root: str) -> str:
     header = ("run", "status", "done", "failed", "plan", "updated")
     rows: List[Tuple[str, ...]] = []
     for journal in journals:
-        row = _manifest_row(journal)
+        row = _summary_row(journal)
         rows.append((
             row["name"], row["status"],
             f"{row['completed']}/{row['cells']}", str(row["failed"]),
@@ -68,19 +96,19 @@ def format_failure(record: Dict[str, Any], verbose: bool = False) -> str:
 
 
 def format_run_detail(journal: Journal, verbose: bool = False) -> str:
-    """Manifest summary, per-cell digests, and outstanding failures."""
-    manifest = journal.read_manifest() or {}
+    """Run summary, per-cell digests, and outstanding failures."""
+    summary = run_summary(journal)
     completed = journal.completed()
     failures = journal.failures()
     lines = [f"run {journal.directory}"]
     for key in ("status", "plan_hash", "cells", "jobs", "created", "updated"):
-        if key in manifest:
-            lines.append(f"  {key}: {manifest[key]}")
-    if manifest.get("argv"):
-        lines.append(f"  argv: {' '.join(manifest['argv'])}")
+        if key in summary:
+            lines.append(f"  {key}: {summary[key]}")
+    if summary.get("argv"):
+        lines.append(f"  argv: {' '.join(summary['argv'])}")
     counters = ", ".join(
         f"{k}={v}"
-        for k, v in sorted((manifest.get("counters") or {}).items()) if v
+        for k, v in sorted((summary.get("counters") or {}).items()) if v
     )
     if counters:
         lines.append(f"  counters: {counters}")
@@ -100,9 +128,8 @@ def format_run_detail(journal: Journal, verbose: bool = False) -> str:
 
 
 def resume_argv(journal: Journal) -> Optional[List[str]]:
-    """The CLI argv that re-runs this journal's sweep with ``--resume``."""
-    manifest = journal.read_manifest() or {}
-    argv = manifest.get("argv")
+    """The latest run's creating CLI argv with ``--resume`` appended."""
+    argv = run_summary(journal).get("argv")
     if not argv:
         return None
     argv = list(argv)

@@ -36,8 +36,7 @@ EXIT_FAILED_CELLS = 1
 EXIT_INTERRUPTED = 75  # EX_TEMPFAIL: resumable
 EXIT_DEADLINE = 76
 
-#: Manifest ``status`` values over a run's lifetime.
-STATUS_RUNNING = "running"
+#: ``status`` of a run's end record (see :func:`run_plan`).
 STATUS_COMPLETE = "complete"
 STATUS_FAILED_CELLS = "failed-cells"
 STATUS_INTERRUPTED = "interrupted"
@@ -134,12 +133,16 @@ def run_plan(
 ) -> RunReport:
     """Run a plan under supervision, journaling every terminal record.
 
-    ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`; runner
-    counters land under ``runner.*``.  ``argv`` (the creating CLI line)
-    is stored in the manifest so ``repro-sim runs resume`` can re-issue
-    it.  With ``install_signal_handlers`` the first SIGINT/SIGTERM drains
-    in-flight cells and returns (exit code 75 via ``exit_code``); a
-    second signal aborts immediately.
+    The run is bracketed by two ``{"kind": "run"}`` records in the same
+    journal: a start record (plan hash, unique cells, jobs, ``argv``,
+    time) before the pool spawns, and an end record (status, counts,
+    supervision counters, time) when it returns.  ``repro-sim runs``
+    reads them, and ``runs resume`` re-issues the start record's
+    ``argv`` (the creating CLI line).  ``metrics`` is an optional
+    :class:`repro.obs.MetricsRegistry`; runner counters land under
+    ``runner.*``.  With ``install_signal_handlers`` the first
+    SIGINT/SIGTERM drains in-flight cells and returns (exit code 75 via
+    ``exit_code``); a second signal aborts immediately.
     """
     if journal_dir is None:
         journal_dir = default_journal_dir(plan)
@@ -160,20 +163,15 @@ def run_plan(
         cell for config_hash, cell in unique.items()
         if config_hash not in report.records
     ]
-
-    manifest = {
+    journal.append({
+        "kind": "run",
+        "event": "start",
         "plan_hash": plan_hash(plan),
         "cells": len(unique),
         "jobs": jobs,
-        "status": STATUS_RUNNING,
         "argv": list(argv) if argv is not None else None,
-        "created": _utcnow(),
-    }
-    existing = journal.read_manifest()
-    if existing is not None:
-        manifest["created"] = existing.get("created", manifest["created"])
-    manifest["updated"] = _utcnow()
-    journal.write_manifest(manifest)
+        "time": _utcnow(),
+    })
 
     pool = SupervisedPool(
         jobs=jobs, timeout_s=timeout_s, max_retries=max_retries,
@@ -211,22 +209,22 @@ def run_plan(
 
     report.stop_reason = status.stop_reason
     report.counters = status.counters
-    manifest.update(
-        status=report.status,
-        updated=_utcnow(),
-        completed=report.completed,
-        failed=len(report.failures),
-        skipped=report.skipped,
-        counters=status.counters,
-    )
-    journal.write_manifest(manifest)
+    journal.append({
+        "kind": "run",
+        "event": "end",
+        "status": report.status,
+        "completed": report.completed,
+        "failed": len(report.failures),
+        "skipped": report.skipped,
+        "counters": status.counters,
+        "time": _utcnow(),
+    })
     journal.close()
 
     if metrics is not None:
         metrics.inc("runner.cells_total", len(unique))
         metrics.inc("runner.cells_skipped_resume", report.skipped)
         metrics.inc("runner.journal_skipped_lines", journal.skipped_lines)
-        metrics.inc("runner.journal_swept_tmp", journal.swept_tmp)
         metrics.merge_counters(status.counters, prefix="runner.")
         if report.stop_reason is not None:
             metrics.inc("runner.interrupted")

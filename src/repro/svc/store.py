@@ -7,11 +7,14 @@ is a first-class reported metric — the paper's own subject matter,
 dogfooded (see ``docs/SERVICE.md``).
 
 A store directory is a run directory (``docs/RUNNER.md``): the results
-are the records of ``<root>/journal.jsonl``, appended and fsynced by
-:class:`repro.runner.Journal`.  The store adds an in-memory index from
-each config hash to the byte offset of its latest successful record,
-rebuilt by one scan on open.  So a sweep's run directory can be served,
-and a service store resumed by ``run_plan(..., resume=True)``.
+are the cell records of ``<root>/journal.jsonl``, its one file,
+appended and fsynced by :class:`repro.runner.Journal`.  The store adds
+an in-memory index from each config hash to the byte offset of its
+latest successful record, rebuilt on open by the journal's one read
+pass (``Journal.completed_offsets``), which passes over a sweep's run
+records and skips the lines every journal reader skips.  So a sweep's
+run directory can be served, and a service store resumed by
+``run_plan(..., resume=True)``.
 
 Durability is the journal's: ``put`` is one append that returns only
 after its line is fsynced, and a crash leaves at worst one torn final

@@ -149,7 +149,8 @@ class TestSecondRun:
 
     def test_after_a_raise(self):
         """A run that raised leaves no event queued: a second ``run()``
-        dispatches nothing and refuses to report the unfinished trace."""
+        dispatches nothing and refuses to report the unfinished trace,
+        naming the first run's error rather than a deadlock."""
 
         class Failing(Aggressive):
             def on_fetch_complete(self, disk, service_ms):
@@ -159,7 +160,7 @@ class TestSecondRun:
         with pytest.raises(RuntimeError, match="mid-run"):
             sim.run()
         dispatched = sim.events_dispatched
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="policy failed mid-run"):
             sim.run()
         assert sim.events_dispatched == dispatched
 

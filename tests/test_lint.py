@@ -1175,6 +1175,23 @@ class TestForkSharedState:
         assert {f.rule for f in findings} == {"SL014"}
         assert "_RESULTS" in findings[0].message
 
+    def test_worker_reordering_module_global_ordered_dict_flagged(self):
+        src = """
+        import multiprocessing
+        from collections import OrderedDict
+
+        _MEMO = OrderedDict()
+
+        def worker(key):
+            _MEMO.move_to_end(key)
+
+        def spawn():
+            return multiprocessing.Process(target=worker, args=("k",))
+        """
+        findings = findings_for(src)
+        assert {f.rule for f in findings} == {"SL014"}
+        assert "_MEMO" in findings[0].message
+
     def test_module_global_handle_read_flagged(self):
         src = """
         import multiprocessing

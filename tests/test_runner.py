@@ -34,8 +34,11 @@ from repro.runner import (
     RunReport,
     execute_cell,
     execute_cells,
+    format_runs_table,
     plan_hash,
+    resume_argv,
     run_plan,
+    run_summary,
     sweep_cells,
     tuned_reverse_cell,
     validate_names,
@@ -130,6 +133,15 @@ def test_kinds():
 def kind_cell(kind, **params):
     return Cell(trace="ld", policy="demand", disks=1, kind=kind,
                 params=params)
+
+
+def end_record(journal_dir):
+    """The journal's last run record, which must be an end record, in a
+    run directory that holds the journal alone."""
+    assert os.listdir(journal_dir) == ["journal.jsonl"]
+    runs = [r for r in Journal(journal_dir).records() if r["kind"] == "run"]
+    assert runs and runs[-1]["event"] == "end", runs
+    return runs[-1]
 
 
 # -- plans and hashes -------------------------------------------------------------------
@@ -347,17 +359,6 @@ class TestJournal:
         assert set(journal.completed()) == {"h1"}
         assert [r["hash"] for r in journal.failures()] == ["h2"]
 
-    def test_manifest_atomic_roundtrip(self, tmp_path):
-        journal = Journal(str(tmp_path / "run"))
-        journal.write_manifest({"status": "running", "cells": 3})
-        manifest = journal.read_manifest()
-        assert manifest["status"] == "running"
-        assert manifest["v"] == 1
-        assert not [
-            name for name in os.listdir(journal.directory)
-            if name.endswith(".tmp")
-        ]
-
     def test_write_json_atomic_leaves_no_tmp(self, tmp_path):
         path = tmp_path / "out.json"
         write_json_atomic(str(path), {"b": 2, "a": 1})
@@ -457,7 +458,7 @@ class TestSupervision:
         assert counters["runner.dispatched"] == 1
 
 
-# -- journal hardening: mid-file corruption, stale tmp sweep ----------------------------
+# -- journal hardening: mid-file corruption, non-object lines ---------------------------
 
 
 class TestJournalHardening:
@@ -492,33 +493,52 @@ class TestJournalHardening:
         counters = metrics.to_dict()["counters"]
         assert counters["runner.journal_skipped_lines"] == 1
 
-    def test_stale_tmp_files_are_swept_on_open(self, tmp_path):
-        from repro.runner import sweep_stale_tmp
+    def test_every_reader_skips_and_counts_the_same_lines(
+            self, test_kinds, tmp_path):
+        """A line that parses to something other than an object and a
+        torn line are skipped and counted alike by every reader, by the
+        store and by a resumed run, and all of them agree on what
+        completed."""
+        from repro.svc import ResultStore
 
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        # The write_json_atomic naming scheme: .<name>.<pid>.tmp
-        stale = run_dir / ".manifest.json.12345.tmp"
-        stale.write_text('{"half": ')
-        keeper = run_dir / "manifest.json"
-        keeper.write_text("{}")
-        journal = Journal(str(run_dir))
-        journal.append({"kind": "cell", "hash": "h1", "status": "ok"})
+        journal_dir = str(tmp_path / "run")
+        done, failed = kind_cell("instant", n=1), kind_cell("instant", n=2)
+        run_plan([done], journal_dir=journal_dir, jobs=1,
+                 install_signal_handlers=False)
+        with open(os.path.join(journal_dir, "journal.jsonl"), "a") as handle:
+            handle.write("[1, 2]\n")
+            handle.write('{"kind": "cell", "hash": "h-torn", "sta\n')
+        journal = Journal(journal_dir)
+        journal.append({"kind": "cell", "hash": failed.config_hash,
+                        "status": "failed", "failure": "exception"})
         journal.close()
-        assert not stale.exists()
-        assert keeper.exists()
-        assert journal.swept_tmp == 1
-        # Idempotent and selective: nothing left to sweep.
-        assert sweep_stale_tmp(str(run_dir)) == 0
 
-    def test_sweep_reaches_runner_metrics(self, test_kinds, tmp_path):
-        journal_dir = tmp_path / "run"
-        journal_dir.mkdir()
-        (journal_dir / ".manifest.json.999.tmp").write_text("{")
+        assert [r["kind"] for r in journal.records()] == [
+            "run", "cell", "run", "cell"]
+        assert journal.skipped_lines == 2
+        assert set(journal.completed()) == {done.config_hash}
+        assert journal.skipped_lines == 2
+        assert [r["hash"] for r in journal.failures()] == [failed.config_hash]
+        assert journal.skipped_lines == 2
+        offsets = journal.completed_offsets()
+        assert journal.skipped_lines == 2
+        assert set(offsets) == {done.config_hash}
+        assert journal.read_at(offsets[done.config_hash]) == \
+            journal.completed()[done.config_hash]
+
+        store = ResultStore(journal_dir)
+        assert len(store) == 1 and done.config_hash in store
+        assert store.stats()["skipped_log_lines"] == 2
+        store.close()
+
         metrics = MetricsRegistry()
-        run_plan([kind_cell("instant", n=1)], journal_dir=str(journal_dir),
-                 jobs=1, metrics=metrics, install_signal_handlers=False)
-        assert metrics.to_dict()["counters"]["runner.journal_swept_tmp"] == 1
+        resumed = run_plan([done, failed], journal_dir=journal_dir, jobs=1,
+                           resume=True, metrics=metrics,
+                           install_signal_handlers=False)
+        assert resumed.exit_code == EXIT_OK
+        assert resumed.skipped == 1 and resumed.completed == 2
+        counters = metrics.to_dict()["counters"]
+        assert counters["runner.journal_skipped_lines"] == 2
 
 
 # -- fake-clock scheduling: backoff values, timeout/respawn ordering --------------------
@@ -922,7 +942,7 @@ class TestEventDrivenSupervision:
         # ... and the rest were never dispatched: left for --resume.
         assert report.counters["dispatched"] == 1
         assert report.results()[1:] == [None, None, None]
-        assert Journal(journal_dir).read_manifest()["status"] == "deadline"
+        assert end_record(journal_dir)["status"] == "deadline"
         resumed = run_plan(plan, journal_dir=journal_dir, jobs=1,
                            resume=True, install_signal_handlers=False)
         assert resumed.exit_code == EXIT_OK
@@ -1087,10 +1107,116 @@ class TestSignals:
         _, stderr = proc.communicate(timeout=30.0)
         assert proc.returncode == EXIT_INTERRUPTED, stderr.decode()
         journal = Journal(journal_dir)
-        # The in-flight cell drained (it is in the journal) and the
-        # manifest records the interruption for `repro-sim runs`.
+        # The in-flight cell drained (it is in the journal) and the run's
+        # end record records the interruption for `repro-sim runs`.
         assert len(journal.completed()) >= 1
-        assert journal.read_manifest()["status"] == "interrupted"
+        assert end_record(journal_dir)["status"] == "interrupted"
+
+
+# -- run records: the run directory is one file ----------------------------------------
+
+
+class TestRunRecords:
+    def test_start_and_end_records_bracket_each_run(self, test_kinds, tmp_path):
+        journal_dir = str(tmp_path / "run")
+        plan = [kind_cell("instant", n=1), kind_cell("instant", n=1)]
+        argv = ["sweep", "-t", "ld"]
+        run_plan(plan, journal_dir=journal_dir, jobs=1, argv=argv,
+                 install_signal_handlers=False)
+        run_plan(plan, journal_dir=journal_dir, jobs=1, resume=True,
+                 install_signal_handlers=False)
+        assert os.listdir(journal_dir) == ["journal.jsonl"]
+        runs = [r for r in Journal(journal_dir).records()
+                if r["kind"] == "run"]
+        assert [r["event"] for r in runs] == ["start", "end", "start", "end"]
+        start, end = runs[0], runs[1]
+        assert start["plan_hash"] == plan_hash(plan)
+        assert (start["cells"], start["jobs"], start["argv"]) == (1, 1, argv)
+        assert (end["status"], end["completed"], end["failed"],
+                end["skipped"]) == ("complete", 1, 0, 0)
+        assert end["counters"]["ok"] == 1
+        assert runs[2]["argv"] is None and runs[3]["skipped"] == 1
+        summary = run_summary(Journal(journal_dir))
+        assert summary["status"] == "complete"
+        assert summary["created"] == start["time"]
+        assert summary["updated"] == runs[3]["time"]
+
+    def test_a_journal_without_run_records_reads_unknown(self, tmp_path):
+        journal = Journal(str(tmp_path / "store"))
+        journal.append({"kind": "cell", "hash": "h1", "status": "ok",
+                        "digest": "d1"})
+        journal.close()
+        assert run_summary(journal) == {"status": "unknown"}
+        assert resume_argv(journal) is None
+        assert "unknown" in format_runs_table(str(tmp_path))
+
+    def test_sigkilled_sweep_reads_unfinished_then_resumes(
+            self, capsys, tmp_path):
+        """A sweep killed outright writes no end record: `runs` reads it
+        as unfinished, and `runs resume` re-issues its start record's
+        argv with --resume, which completes it in the same one file."""
+        from repro.cli import main
+
+        journal_dir = str(tmp_path / "run")
+        argv = ["sweep", "-t", "ld", "-p", "demand", "-d", "1,2",
+                "--scale", "0.05", "--jobs", "1", "--journal", journal_dir]
+        child = textwrap.dedent(
+            """
+            import sys, time
+            sys.path[:0] = [r"{repo}", r"{repo}/src"]
+            from repro.cli import main
+            from repro.runner.execute import CELL_KINDS
+            run = CELL_KINDS["run"]
+
+            def stall_after_the_first(cell, **kwargs):
+                if cell.disks > 1:
+                    time.sleep(60)  # killed long before it wakes
+                return run(cell, **kwargs)
+
+            CELL_KINDS["run"] = stall_after_the_first
+            sys.exit(main({argv!r}))
+            """
+        ).format(repo=REPO_ROOT, argv=argv)
+        # Its own process group, so SIGKILL reaches the sweep and its worker.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child], cwd=REPO_ROOT,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        journal = Journal(journal_dir)
+        deadline = time.monotonic() + 60.0
+        try:
+            while not journal.completed() and proc.poll() is None \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30.0)
+        assert proc.returncode == -signal.SIGKILL
+        assert len(journal.completed()) == 1
+
+        assert main(["runs", "list", "--root", str(tmp_path)]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row[:4] == ["run", "unfinished", "1/2", "0"]
+        assert main(["runs", "show", journal_dir]) == 0
+        out = capsys.readouterr().out
+        assert "status: unfinished" in out
+        assert f"argv: {' '.join(argv)}" in out
+        assert os.listdir(journal_dir) == ["journal.jsonl"]
+
+        assert main(["runs", "resume", journal_dir]) == 0
+        out = capsys.readouterr().out
+        assert f"resuming: repro-sim {' '.join(argv)} --resume" in out
+        assert "resumed: skipped 1 completed cells" in out
+        assert main(["runs", "list", "--root", str(tmp_path)]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row[:4] == ["run", "complete", "2/2", "0"]
+        assert main(["runs", "show", journal_dir]) == 0
+        shown = capsys.readouterr().out.splitlines()
+        for key in ("status: complete", "plan_hash: ", "cells: 2", "jobs: 1",
+                    "created: ", "updated: ", "argv: ", "counters: "):
+            assert any(line.startswith(f"  {key}") for line in shown), key
+        assert os.listdir(journal_dir) == ["journal.jsonl"]
 
 
 # -- CLI --------------------------------------------------------------------------------

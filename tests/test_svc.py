@@ -136,18 +136,6 @@ class TestResultStore:
         assert reopened.stats()["skipped_log_lines"] == 1
         assert len(reopened) == 1
 
-    def test_stale_tmp_files_swept_at_first_put(self, tmp_path):
-        # A sweep killed mid-manifest-write leaves .manifest.json.*.tmp;
-        # the journal sweeps it when the store first writes.
-        root = tmp_path / "store"
-        root.mkdir()
-        (root / ".manifest.json.1.tmp").write_text("{")
-        store = ResultStore(str(root))
-        store.put("h1", ok_record("h1"))
-        store.close()
-        assert store.journal.swept_tmp == 1
-        assert os.listdir(str(root)) == ["journal.jsonl"]
-
     def test_latest_successful_record_wins(self, tmp_path):
         root = str(tmp_path / "store")
         journal = Journal(root)

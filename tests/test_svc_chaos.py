@@ -51,8 +51,8 @@ GOLDEN_DIGESTS = set(golden.EXPECTED.values())
 
 def assert_store_invariants(root):
     """The journal is the authority; the reopened store must agree."""
-    # One log: nothing but the journal (and a sweep's manifest).
-    assert set(os.listdir(root)) <= {"journal.jsonl", "manifest.json"}
+    # One log: nothing but the journal.
+    assert set(os.listdir(root)) <= {"journal.jsonl"}
     digests_by_hash = {}
     for record in Journal(root).records():
         if record.get("kind") == "cell" and record.get("status") == "ok":
