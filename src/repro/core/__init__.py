@@ -10,6 +10,7 @@ from repro.core.batching import TABLE6_BATCH_SIZES, TABLE6_DEFAULT, batch_size_f
 from repro.core.cache import BufferCache, CacheFullError
 from repro.core.demand import DemandFetching
 from repro.core.engine import SimConfig, Simulator
+from repro.core.events import StallEpisode
 from repro.core.fixed_horizon import DEFAULT_HORIZON, FixedHorizon
 from repro.core.hints import HintQuality, degrade_hints, resolve_hint_view
 from repro.core.multiprocess import (
@@ -29,7 +30,7 @@ from repro.core.nextref import (
 )
 from repro.core.policy import MissingScanner, PrefetchPolicy
 from repro.core.results import SimulationResult
-from repro.core.timeline import StallEpisode, Timeline
+from repro.core.timeline import Timeline
 from repro.core.reverse_aggressive import ReverseAggressive
 from typing import Callable, Dict, Union
 

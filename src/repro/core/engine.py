@@ -127,8 +127,8 @@ class SimConfig:
     #: spindles of its pair and reads dispatch to the less-loaded copy.
     mirrored: bool = False
     readahead: bool = True
-    #: Record a per-run event timeline (fetches, completions, stalls) for
-    #: post-hoc analysis via repro.core.timeline.
+    #: Keep the run's compact event tuples (fetches, completions, stalls,
+    #: faults) on ``Simulator.timeline``; ``result_digest`` includes them.
     record_timeline: bool = False
     #: Fault injection: transient read errors, fail-slow spindles, disk
     #: death (see repro.faults).  None (or a null schedule) leaves every

@@ -4,10 +4,11 @@ A :class:`~repro.core.engine.Simulator` with a sink emits one
 :class:`Event` at every decision it makes (fetch issue, eviction, stall,
 disk dispatch, fault handling, ...), each stamped with the *simulated*
 time and the id of the process it belongs to.  A sink is anything with an
-``emit(event)`` method: :class:`~repro.core.timeline.Timeline` keeps the
-compact tuples ``SimConfig(record_timeline=True)`` asks for, and
-``repro.obs.Observer`` keeps the full stream plus metrics and stall
-attribution.  Without a sink the engine builds no events at all.
+``emit(event)`` method: :class:`~repro.core.timeline.Timeline` only
+records the compact tuples ``SimConfig(record_timeline=True)`` asks for
+(which ``result_digest`` includes), and ``repro.obs.Observer`` keeps the
+full stream plus metrics, stall episodes with their causes, and per-disk
+busy time.  Without a sink the engine builds no events at all.
 
 The ``kind`` vocabulary is dotted and closed: exporters and tests match on
 the constants below, never on ad-hoc strings.  See
@@ -193,16 +194,16 @@ class StallEpisode:
     """One contiguous wait for a block.
 
     ``duration_ms`` is ``end_ms - start_ms``, the exact quantum the engine
-    adds to ``stall_ms``.  Episodes read back from a
-    :class:`~repro.core.timeline.Timeline` carry no cursor or cause.
+    adds to ``stall_ms``; ``cause`` is the stall cause it was charged to
+    and ``cursor`` the reference the application was waiting at.
     """
 
     start_ms: float
     end_ms: float
     block: int
-    cursor: int = -1
-    cause: str = ""
-    pid: int = 0
+    cursor: int
+    cause: str
+    pid: int
 
     @property
     def duration_ms(self) -> float:

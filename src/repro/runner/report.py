@@ -17,17 +17,21 @@ from repro.runner.journal import Journal, list_runs
 
 def run_summary(journal: Journal) -> Dict[str, Any]:
     """The latest run's start record merged with the end record that
-    follows it, plus ``status``, ``created`` (the first start's time) and
-    ``updated`` (the latest run record's time)."""
+    follows it, plus ``status``, ``created`` (the first start's time),
+    ``updated`` (the latest run record's time) and ``argv`` (the creating
+    CLI line: the latest start record's that names one, since a run
+    resumed from code records none)."""
     first: Optional[Dict[str, Any]] = None
     start: Optional[Dict[str, Any]] = None
     end: Optional[Dict[str, Any]] = None
+    argv: Optional[List[str]] = None
     for record in journal.records():
         if record.get("kind") != "run":
             continue
         if record.get("event") == "start":
             first = first or record
             start, end = record, None
+            argv = record.get("argv") or argv
         elif record.get("event") == "end" and start is not None:
             end = record
     if first is None or start is None:
@@ -35,6 +39,7 @@ def run_summary(journal: Journal) -> Dict[str, Any]:
     summary: Dict[str, Any] = {**start, **(end or {"status": "unfinished"})}
     summary["created"] = first.get("time")
     summary["updated"] = (end or start).get("time")
+    summary["argv"] = argv
     return summary
 
 

@@ -137,8 +137,8 @@ def run_plan(
     journal: a start record (plan hash, unique cells, jobs, ``argv``,
     time) before the pool spawns, and an end record (status, counts,
     supervision counters, time) when it returns.  ``repro-sim runs``
-    reads them, and ``runs resume`` re-issues the start record's
-    ``argv`` (the creating CLI line).  ``metrics`` is an optional
+    reads them, and ``runs resume`` re-issues the latest ``argv`` a start
+    record names (the creating CLI line).  ``metrics`` is an optional
     :class:`repro.obs.MetricsRegistry`; runner counters land under
     ``runner.*``.  With ``install_signal_handlers`` the first
     SIGINT/SIGTERM drains in-flight cells and returns (exit code 75 via

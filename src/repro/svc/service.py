@@ -401,12 +401,6 @@ class SimulationService:
 
     # -- request path ------------------------------------------------------
 
-    async def run_spec(
-        self, spec: Any, corr_id: Optional[str] = None
-    ) -> Tuple[Dict[str, Any], str]:
-        """Serve one JSON cell spec; see :meth:`run_cell`."""
-        return await self.run_cell(cell_from_spec(spec), corr_id=corr_id)
-
     async def run_cell(
         self,
         cell: Cell,

@@ -340,6 +340,8 @@ class TestObserverProperty:
         observer = Observer()
         observed, digests = run_case(workloads, disks, config, observer)
         assert digests == plain_digests
+        makespan = max(result.elapsed_ms for result in observed)
+        busy = [min(ms, makespan) for ms in observer.busy_ms_per_disk]
         for pid, result in enumerate(observed):
             residual = abs(
                 result.stall_ms - math.fsum(result.stall_breakdown.values())
@@ -347,6 +349,8 @@ class TestObserverProperty:
             assert residual < 1e-6 * max(1.0, result.stall_ms)
             episodes = [e for e in observer.stall_episodes if e.pid == pid]
             assert_attribution_exact(result, episodes)
+            # Writes, transient errors, a dead disk and mirroring included.
+            assert busy == result.per_disk_busy_ms
 
 
 # -- counters and result cross-checks ---------------------------------------------------

@@ -1150,6 +1150,25 @@ class TestRunRecords:
         assert resume_argv(journal) is None
         assert "unknown" in format_runs_table(str(tmp_path))
 
+    def test_runs_resume_after_a_resume_from_code(self, capsys, tmp_path):
+        """A run resumed from code records no argv; `runs show` and `runs
+        resume` still name the CLI line that created the run."""
+        from repro.analysis.experiments import ExperimentSetting
+        from repro.cli import main
+
+        journal_dir = str(tmp_path / "run")
+        argv = ["sweep", "-t", "ld", "-p", "demand", "-d", "1",
+                "--scale", "0.05", "--jobs", "1", "--journal", journal_dir]
+        assert main(argv) == 0
+        cells = sweep_cells(ExperimentSetting(scale=0.05), "ld", ["demand"], [1])
+        report = run_plan(cells, journal_dir=journal_dir, resume=True,
+                          install_signal_handlers=False)
+        assert report.skipped == 1
+        capsys.readouterr()
+        assert resume_argv(Journal(journal_dir)) == argv + ["--resume"]
+        assert main(["runs", "show", journal_dir]) == 0
+        assert f"\n  argv: {' '.join(argv)}\n" in capsys.readouterr().out
+
     def test_sigkilled_sweep_reads_unfinished_then_resumes(
             self, capsys, tmp_path):
         """A sweep killed outright writes no end record: `runs` reads it

@@ -1,23 +1,14 @@
-"""Timeline recording and derived views."""
+"""Timeline recording: the compact tuples ``result_digest`` includes."""
 
-import pytest
-
-from repro.core import SimConfig, Simulator, make_policy
-from repro.core.timeline import (
-    FETCH_DONE,
-    FETCH_ISSUED,
-    STALL_END,
-    STALL_START,
-    StallEpisode,
-    Timeline,
-)
+from repro.core import Simulator, make_policy
+from repro.core.timeline import FETCH_DONE, FETCH_ISSUED
 from tests.conftest import make_trace, simple_config
 
 
-def record_run(blocks, policy="fixed-horizon", disks=1, cache=8, **kw):
+def record_run(blocks):
     trace = make_trace(blocks, compute_ms=2.0)
-    config = simple_config(cache_blocks=cache).with_(record_timeline=True)
-    sim = Simulator(trace, make_policy(policy, **kw), disks, config)
+    config = simple_config(cache_blocks=8, record_timeline=True)
+    sim = Simulator(trace, make_policy("fixed-horizon"), 1, config)
     result = sim.run()
     return sim.timeline, result
 
@@ -41,116 +32,3 @@ class TestTimelineBasics:
         done = [e for e in timeline.events if e[1] == FETCH_DONE]
         assert len(issued) == result.fetches
         assert len(done) == result.fetches
-
-
-class TestStallAccounting:
-    def test_episode_total_equals_result_stall(self):
-        """The timeline and the engine account stalls independently; they
-        must agree to the microsecond."""
-        for policy in ("demand", "fixed-horizon", "aggressive"):
-            timeline, result = record_run(
-                list(range(15)) * 2, policy=policy, cache=6
-            )
-            total = sum(e.duration_ms for e in timeline.stall_episodes())
-            assert total == pytest.approx(result.stall_ms, abs=1e-6)
-
-    def test_episodes_have_positive_duration(self):
-        timeline, _result = record_run(list(range(12)))
-        for episode in timeline.stall_episodes():
-            assert episode.duration_ms >= 0
-            assert episode.end_ms >= episode.start_ms
-
-    def test_summary_fields(self):
-        timeline, result = record_run(list(range(10)))
-        summary = timeline.summary()
-        assert summary["fetches"] == result.fetches
-        assert summary["stall_total_ms"] == pytest.approx(
-            result.stall_ms, abs=1e-3
-        )
-        assert 0 < summary["disk_balance"] <= 1.0
-
-
-class TestDerivedViews:
-    def test_per_disk_fetch_balance_under_striping(self):
-        timeline, _result = record_run(list(range(20)), disks=2, cache=30)
-        per_disk = timeline.per_disk_fetches()
-        assert set(per_disk) == {0, 1}
-        assert per_disk[0] == per_disk[1]  # even blocks alternate disks
-
-    def test_busy_intervals_cover_service(self):
-        timeline, result = record_run(list(range(8)), cache=12)
-        spans = timeline.busy_intervals(0)
-        assert spans
-        busy = sum(end - start for start, end in spans)
-        # 8 fetches x 10 ms service, allowing queueing overlap
-        assert busy >= 8 * 10.0 - 1e-6
-
-    def test_lead_times_positive(self):
-        timeline, _result = record_run(list(range(8)))
-        leads = timeline.fetch_lead_times()
-        assert leads
-        assert all(v > 0 for v in leads.values())
-
-
-class TestManualTimeline:
-    def test_interleaved_stalls_parse(self):
-        timeline = Timeline()
-        timeline.record(0.0, STALL_START, 5)
-        timeline.record(3.0, STALL_END, 5)
-        timeline.record(10.0, STALL_START, 7)
-        timeline.record(11.5, STALL_END, 7)
-        episodes = timeline.stall_episodes()
-        assert [e.block for e in episodes] == [5, 7]
-        assert episodes[1].duration_ms == pytest.approx(1.5)
-
-    def test_unclosed_stall_ignored(self):
-        timeline = Timeline()
-        timeline.record(0.0, STALL_START, 5)
-        assert timeline.stall_episodes() == []
-
-    def test_empty_summary(self):
-        summary = Timeline().summary()
-        assert summary["stall_episodes"] == 0
-        assert summary["disk_balance"] == 1.0
-
-
-class TestSortedCache:
-    def test_sorted_view_is_time_ordered(self):
-        timeline = Timeline()
-        timeline.record(5.0, FETCH_ISSUED, 1, 0)
-        timeline.record(1.0, FETCH_ISSUED, 2, 0)
-        timeline.record(3.0, FETCH_DONE, 2, 0)
-        assert [e[0] for e in timeline.sorted_events()] == [1.0, 3.0, 5.0]
-
-    def test_view_cached_until_next_record(self):
-        timeline = Timeline()
-        timeline.record(2.0, FETCH_ISSUED, 1, 0)
-        timeline.record(1.0, FETCH_ISSUED, 2, 0)
-        first = timeline.sorted_events()
-        assert timeline.sorted_events() is first  # no re-sort between records
-
-    def test_record_invalidates_cache(self):
-        timeline = Timeline()
-        timeline.record(2.0, FETCH_ISSUED, 1, 0)
-        stale = timeline.sorted_events()
-        timeline.record(0.5, FETCH_ISSUED, 2, 0)
-        fresh = timeline.sorted_events()
-        assert fresh is not stale
-        assert fresh[0][0] == 0.5
-
-    def test_direct_append_also_invalidates(self):
-        # Consumers (and tests) sometimes build timelines by appending to
-        # ``events`` directly; the count key must catch that too.
-        timeline = Timeline()
-        timeline.record(2.0, FETCH_ISSUED, 1, 0)
-        timeline.sorted_events()
-        timeline.events.append((0.25, FETCH_ISSUED, 3, 0))
-        assert timeline.sorted_events()[0][0] == 0.25
-
-    def test_busy_intervals_unaffected_by_unsorted_arrival(self):
-        timeline = Timeline()
-        timeline.record(10.0, FETCH_ISSUED, 1, 0)
-        timeline.record(12.0, FETCH_DONE, 1, 0)
-        timeline.record(4.0, FETCH_ISSUED, 2, 0)  # late arrival, earlier time
-        timeline.record(6.0, FETCH_DONE, 2, 0)
-        assert timeline.busy_intervals(0) == [(4.0, 6.0), (10.0, 12.0)]
